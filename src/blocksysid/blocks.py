@@ -180,13 +180,8 @@ def _check_grid(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:
 def block_abs_max(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:
     """Per-block max-abs entries, arranged on the block grid."""
     theta = _check_grid(theta, partition)
-    ro, co = partition.row_offsets, partition.col_offsets
-    out = np.empty((partition.n_row_blocks, partition.n_col_blocks))
-    for bi in range(partition.n_row_blocks):
-        strip = np.abs(theta[ro[bi] : ro[bi + 1]])
-        for bj in range(partition.n_col_blocks):
-            out[bi, bj] = strip[:, co[bj] : co[bj + 1]].max()
-    return out
+    row_max = np.maximum.reduceat(np.abs(theta), partition.row_offsets[:-1], axis=0)
+    return np.maximum.reduceat(row_max, partition.col_offsets[:-1], axis=1)
 
 
 def block_norm_sum(theta: np.ndarray, partition: BlockPartition) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -109,16 +110,7 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
-        config = ExperimentConfig(
-            generator=config.generator,
-            T_list=config.T_list,
-            d_list=config.d_list,
-            seeds=(args.seed,),
-            lambda_mode=config.lambda_mode,
-            estimators=config.estimators,
-            standardize=config.standardize,
-            output_path=config.output_path,
-        )
+        config = dataclasses.replace(config, seeds=(args.seed,))
     records = run_experiment(config, workers=args.workers)
     out = args.out or config.output_path
     if not out:

@@ -21,7 +21,7 @@ from .blocks import BlockPartition, support_pattern
 from .lti import SystemModel, gen_mass_spring, gen_multi_agent, gen_synthetic, simulate_batch
 from .metrics import error_norms, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
-from .theory import check_assumptions, lambda_schedule
+from .theory import AssumptionReport, check_assumptions, lambda_schedule
 
 WORKERS_ENV_VAR = "BLOCKSYSID_WORKERS"
 
@@ -187,12 +187,12 @@ def build_model(generator: dict, seed: int) -> SystemModel:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _run_point(config: ExperimentConfig, T: int, d: int, seed: int) -> list[ExperimentRecord]:
-    model = build_model(config.generator, seed)
+def _run_point(
+    config: ExperimentConfig, model: SystemModel, assume: AssumptionReport, T: int, d: int, seed: int
+) -> list[ExperimentRecord]:
     partition = model.partition
     theta_star = model.stacked()
     true_support = support_pattern(theta_star, partition, zero_tol=0.0)
-    assume = check_assumptions(model, T)
     if assume.satisfied["A2"]:
         kappa = assume.lambda_max / assume.lambda_min
     else:
@@ -214,69 +214,43 @@ def _run_point(config: ExperimentConfig, T: int, d: int, seed: int) -> list[Expe
     records = []
     for estimator in config.estimators:
         start = time.perf_counter()
+        lam = theta = support = None
+        converged = True
         if estimator == "block_reg":
             lam = resolve_lambda(config.lambda_mode, partition, d)
             result = solve_block_regularized(
                 batch, partition, EstimatorConfig(lambda_d=lam, standardize=config.standardize)
             )
-            mm = mismatch_error(result.support, true_support)
-            errs = error_norms(result.theta_hat, theta_star)
-            records.append(
-                ExperimentRecord(
-                    estimator=estimator,
-                    status="ok",
-                    lambda_d=lam,
-                    mismatch=mm,
-                    rme=rme(mm, partition),
-                    rst=rst(d, model.n, model.m),
-                    linf=errs.linf_elementwise,
-                    op_norm=errs.op_norm,
-                    normalized_2=errs.normalized_2,
-                    converged=result.converged,
-                    wall_time_seconds=time.perf_counter() - start,
-                    **base,
-                )
-            )
+            theta, support, converged = result.theta_hat, result.support, result.converged
         else:
             try:
-                theta_ls = solve_least_squares(batch)
+                theta = solve_least_squares(batch)
+                support = support_pattern(theta, partition, zero_tol=0.0)
             except LeastSquaresUndefined:
-                records.append(
-                    ExperimentRecord(
-                        estimator=estimator,
-                        status="undefined",
-                        lambda_d=None,
-                        mismatch=None,
-                        rme=None,
-                        rst=rst(d, model.n, model.m),
-                        linf=None,
-                        op_norm=None,
-                        normalized_2=None,
-                        converged=None,
-                        wall_time_seconds=time.perf_counter() - start,
-                        **base,
-                    )
-                )
-                continue
-            support_ls = support_pattern(theta_ls, partition, zero_tol=0.0)
-            mm = mismatch_error(support_ls, true_support)
-            errs = error_norms(theta_ls, theta_star)
-            records.append(
-                ExperimentRecord(
-                    estimator=estimator,
-                    status="ok",
-                    lambda_d=None,
-                    mismatch=mm,
-                    rme=rme(mm, partition),
-                    rst=rst(d, model.n, model.m),
-                    linf=errs.linf_elementwise,
-                    op_norm=errs.op_norm,
-                    normalized_2=errs.normalized_2,
-                    converged=True,
-                    wall_time_seconds=time.perf_counter() - start,
-                    **base,
-                )
+                converged = None
+        scores = dict.fromkeys(("mismatch", "rme", "linf", "op_norm", "normalized_2"))
+        if theta is not None:
+            mm = mismatch_error(support, true_support)
+            errs = error_norms(theta, theta_star)
+            scores.update(
+                mismatch=mm,
+                rme=rme(mm, partition),
+                linf=errs.linf_elementwise,
+                op_norm=errs.op_norm,
+                normalized_2=errs.normalized_2,
             )
+        records.append(
+            ExperimentRecord(
+                estimator=estimator,
+                status="undefined" if theta is None else "ok",
+                lambda_d=lam,
+                rst=rst(d, model.n, model.m),
+                converged=converged,
+                wall_time_seconds=time.perf_counter() - start,
+                **scores,
+                **base,
+            )
+        )
     return records
 
 
@@ -290,16 +264,26 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ExperimentRecord]:
-    """Run every sweep point and return the records in config order."""
+    """Run every sweep point and return the records in config order.
+
+    The model and its recovery conditions depend on the seed and the horizon
+    only, so they are computed once and shared by every trajectory count.
+    """
+    models = {seed: build_model(config.generator, seed) for seed in config.seeds}
+    checks = {(T, seed): check_assumptions(models[seed], T) for T in config.T_list for seed in config.seeds}
+
+    def run(T: int, d: int, seed: int) -> list[ExperimentRecord]:
+        return _run_point(config, models[seed], checks[T, seed], T, d, seed)
+
     points = [
         (T, d, seed) for T in config.T_list for d in config.d_list for seed in config.seeds
     ]
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(points) == 1:
-        nested = [_run_point(config, *pt) for pt in points]
+        nested = [run(*pt) for pt in points]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            nested = list(pool.map(lambda pt: _run_point(config, *pt), points))
+            nested = list(pool.map(lambda pt: run(*pt), points))
     return [rec for group in nested for rec in group]
 
 

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blocksysid import solver
 from blocksysid.blocks import BlockPartition, support_pattern
+from blocksysid.experiments import build_model, resolve_lambda
 from blocksysid.lti import SystemModel, TrajectoryBatch, gen_synthetic, simulate_batch
 from blocksysid.solver import (
     EstimatorConfig,
@@ -127,16 +133,95 @@ def test_iteration_cap_reports_unconverged():
     assert res.kkt_residual > 1e-7
 
 
-def test_backtracking_policy_agrees_with_fixed_step():
-    model = tiny_model(7)
-    batch = simulate_batch(model, 3, 40, seed=7)
-    lam = 0.1
-    fixed = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=lam))
-    back = solve_block_regularized(
-        batch, model.partition, EstimatorConfig(lambda_d=lam, step_policy="backtracking")
-    )
-    assert np.abs(fixed.theta_hat - back.theta_hat).max() < 1e-6
-    assert fixed.support.equal(back.support)
+def mixed_problem(seed, state_sizes, input_sizes, d, density=0.3):
+    """A random regression on a mixed-width partition, as a bare batch."""
+    part = BlockPartition.from_block_sizes(state_sizes, input_sizes)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, part.shape[0]))
+    theta = rng.standard_normal(part.shape) * (rng.random(part.shape) < density)
+    Y = X @ theta + 0.5 * rng.standard_normal((d, part.n))
+    return TrajectoryBatch(X=X, Y=Y), part
+
+
+def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
+    # Widths (2, 1, 3, 1, 2, 1) give stacks of three, two and one columns,
+    # and max_iter=24 stops some columns of each shared stack before they
+    # converge.  A one-column partition needs its first row block as wide as
+    # the column, so the one-column solves run the same kernel on one-column
+    # stacks of the inputs the joint solve recorded.
+    batch, part = mixed_problem(0, (2, 1, 3, 1, 2, 1), (2, 1), d=100)
+    config = EstimatorConfig(lambda_d=0.1, max_iter=24)
+    kernel = solver._lockstep_apg
+    calls = []
+
+    def recording(Gmat, c, L, cfg, groups):
+        out = kernel(Gmat, c, L, cfg, groups)
+        calls.append((Gmat, c.copy(), L, cfg, groups, out))
+        return out
+
+    monkeypatch.setattr(solver, "_lockstep_apg", recording)
+    joint = solve_block_regularized(batch, part, config)
+    monkeypatch.undo()
+
+    its = joint.iterations
+    assert (its == config.max_iter).any() and (its < config.max_iter).any()
+    assert max(c.shape[0] for _, c, *_ in calls) == 3
+    # stacks run by width, then by block column
+    order = sorted(range(part.n_col_blocks), key=lambda j: (part.col_sizes[j], j))
+    stacked = [(call, i) for call in calls for i in range(call[1].shape[0])]
+    assert len(stacked) == part.n_col_blocks
+    co = part.col_offsets
+    for j, ((Gmat, c, L, cfg, groups, (x, _, _)), i) in zip(order, stacked):
+        x1, its1, resid1 = kernel(Gmat, c[i : i + 1], L, cfg, groups)
+        assert np.array_equal(x1[0], joint.theta_hat[:, co[j] : co[j + 1]])
+        assert np.array_equal(x1[0], x[i])
+        assert its1[0] == its[j]
+        assert resid1[0] <= config.kkt_tol or its1[0] == config.max_iter
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    state_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    input_sizes=st.lists(st.integers(1, 3), max_size=2),
+    d=st.integers(30, 200),
+    lam=st.floats(0.02, 0.3),
+    seed=st.integers(0, 2**16),
+)
+def test_kkt_residual_certifies_mixed_partitions(state_sizes, input_sizes, d, lam, seed):
+    batch, part = mixed_problem(seed, state_sizes, input_sizes, d)
+    res = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
+    assert res.converged
+    assert res.kkt_residual <= 1e-7
+    # The solver takes the gradient as G x - X^T Y / d, the public residual
+    # as X^T (X theta - Y) / d; the two agree to rounding.
+    assert res.kkt_residual == pytest.approx(kkt_residual(res.theta_hat, batch, part, lam), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "generator, d",
+    [
+        ({"kind": "synthetic", "n": 100, "w": 2}, 400),
+        ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 800),
+    ],
+)
+def test_solve_peak_memory_within_column_by_column_budget(generator, d):
+    # The largest points of the benchmark sweeps.  Solving one column at a
+    # time held the standardized design (d x p), the Gram matrix (p x p),
+    # theta (p x n) and two d x n residual arrays at once; the stacks must
+    # fit in that.
+    model = build_model(generator, seed=0)
+    batch = simulate_batch(model, 3, d, seed=0)
+    part = model.partition
+    lam = resolve_lambda("schedule", part, d)
+    p, n = part.shape
+    budget = 8 * (d * p + p * p + p * n + 2 * d * n)
+    tracemalloc.start()
+    try:
+        solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam, standardize=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_standardized_solve_scale_equivariance():
@@ -268,8 +353,6 @@ def test_estimator_config_validation():
         EstimatorConfig(lambda_d=0.1, kkt_tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(lambda_d=0.1, max_iter=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(lambda_d=0.1, step_policy="newton")
 
 
 def test_estimate_file_roundtrip(tmp_path):
