@@ -19,7 +19,7 @@ config = bs.ExperimentConfig(
     estimators=("block_reg", "least_squares"),
 )
 
-records = bs.run_experiment(config, workers=2)
+records = bs.run_experiment(config)
 print(f"{len(records)} records "
       f"({len(config.d_list)} sample counts x {len(config.seeds)} seeds x 2 estimators)\n")
 
@@ -32,7 +32,7 @@ for rec in records:
     print(f"{rec.d:>5} {rec.estimator:>14} {rec.status:>10} {rme_txt:>8} {err_txt:>13}")
 
 text = records_to_csv(records)
-rerun = records_to_csv(bs.run_experiment(config, workers=1))
+rerun = records_to_csv(bs.run_experiment(config))
 print(f"\nrerun byte-identical: {text == rerun}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -170,6 +170,12 @@ def block_range(partition: BlockPartition, i: int, j: int) -> tuple[slice, slice
     return slice(ro[i - 1], ro[i]), slice(co[j - 1], co[j])
 
 
+def block_row_indices(partition: BlockPartition, blocks) -> np.ndarray:
+    """Scalar row indices of the given (0-based) row blocks, in the given order."""
+    ro = partition.row_offsets
+    return np.concatenate([np.arange(ro[b], ro[b + 1]) for b in blocks] or [np.empty(0, dtype=int)])
+
+
 def _check_grid(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != partition.shape:

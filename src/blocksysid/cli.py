@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=(args.seed,))
-    records = run_experiment(config, workers=args.workers)
+    records = run_experiment(config)
     out = args.out or config.output_path
     if not out:
         raise SystemExit("sweep needs --out or an output_path in the config")
@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="recovery-condition report for a model")
     p_check.add_argument("--model", required=True, help="model JSON file")
     p_check.add_argument("--T", type=int, required=True, help="horizon")
-    p_check.add_argument("--seed", type=int, default=0, help="accepted for uniformity; unused")
     p_check.add_argument("--out", help="output path (stdout when omitted)")
     p_check.set_defaults(func=_cmd_check)
 
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="sweep config JSON file")
     p_sweep.add_argument("--out", help="output CSV path (falls back to the config's output_path)")
     p_sweep.add_argument("--seed", type=int, help="replace the config's seed list with one seed")
-    p_sweep.add_argument("--workers", type=int, help="worker cap (env BLOCKSYSID_WORKERS otherwise)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

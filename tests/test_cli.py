@@ -86,7 +86,7 @@ def test_sweep_deterministic_csv(tmp_path):
     }))
     o1, o2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert run_cli("sweep", "--config", cfg, "--out", o1) == 0
-    assert run_cli("sweep", "--config", cfg, "--out", o2, "--workers", 3) == 0
+    assert run_cli("sweep", "--config", cfg, "--out", o2) == 0
     assert o1.read_bytes() == o2.read_bytes()
     header = o1.read_text().splitlines()[0]
     assert header.startswith("generator,gen_params,n,m,T,d,seed,estimator,status,lambda_d")

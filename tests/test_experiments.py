@@ -9,7 +9,6 @@ from blocksysid.experiments import (
     build_model,
     records_to_csv,
     resolve_lambda,
-    resolve_workers,
     run_experiment,
     write_records_csv,
 )
@@ -39,6 +38,19 @@ def test_config_validation():
         small_config(estimators=["ridge"])
     with pytest.raises(ValueError, match="lambda_mode"):
         small_config(lambda_mode="fixed:abc")
+    # a string is not a boolean: "false" must not turn standardizing on
+    with pytest.raises(ValueError, match="standardize"):
+        small_config(standardize="false")
+    # a misspelled field must not silently fall back to its default
+    with pytest.raises(ValueError, match="unknown field.*'estimator'"):
+        small_config(estimator=["least_squares"])
+    # a float horizon must not be truncated
+    with pytest.raises(ValueError, match="T_list"):
+        small_config(T_list=[3.7])
+    with pytest.raises(ValueError, match="d_list"):
+        small_config(d_list=[True])
+    with pytest.raises(ValueError, match="seeds"):
+        small_config(seeds=[0.0])
 
 
 def test_resolve_lambda_modes():
@@ -90,18 +102,6 @@ def test_csv_schema_and_determinism(tmp_path):
     out = tmp_path / "records.csv"
     write_records_csv(run_experiment(config), str(out))
     assert out.read_text() == text1
-
-
-def test_workers_do_not_change_results(monkeypatch):
-    config = small_config()
-    serial = records_to_csv(run_experiment(config, workers=1))
-    threaded = records_to_csv(run_experiment(config, workers=4))
-    assert serial == threaded
-    monkeypatch.setenv("BLOCKSYSID_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.delenv("BLOCKSYSID_WORKERS")
-    assert resolve_workers(None) == 1
 
 
 def test_fixed_lambda_mode_used_in_records():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from blocksysid.solver import project_l1_ball, prox_linf
+from blocksysid.solver import _prox_rows, project_l1_ball, prox_linf
 
 from oracles import project_l1_bisection
 
@@ -85,3 +88,28 @@ def test_prox_firmly_nonexpansive():
         pu, pv = prox_linf(u, tau), prox_linf(v, tau)
         lhs = float(np.dot(pu - pv, pu - pv))
         assert lhs <= float(np.dot(pu - pv, u - v)) + 1e-12
+
+
+# Rows of moderate magnitude, with exact ties and exact zeros among them.
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+row_stacks = st.integers(1, 8).flatmap(
+    lambda p: arrays(np.float64, st.tuples(st.integers(1, 6), st.just(p)), elements=finite)
+)
+taus = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(V=row_stacks, tau=taus)
+def test_prox_rows_match_one_vector_prox(V, tau):
+    # The solver's row-wise prox and the public one-vector prox share one
+    # sort-threshold routine, so they agree bit for bit.
+    out = _prox_rows(V, tau)
+    for i in range(V.shape[0]):
+        assert np.array_equal(out[i], prox_linf(V[i], tau))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(V=row_stacks, tau=taus.filter(lambda t: t > 0))
+def test_moreau_identity_exact_property(V, tau):
+    for v in V:
+        assert np.array_equal(prox_linf(v, tau) + project_l1_ball(v, tau), v)
