@@ -310,25 +310,10 @@ def _stack_cap(rows: int, width: int) -> int:
     return max(1, 2**16 // (8 * rows * width))
 
 
-def _top_eigenvalue(G: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    p = G.shape[0]
-    if p == 0:
-        return 0.0
-    v = np.linspace(1.0, 2.0, p)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = G @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        lam_new = float(v @ (G @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+def _lipschitz(G: np.ndarray) -> float:
+    """Step-size constant: the largest eigenvalue of the Gram matrix, or 1 if it is not positive."""
+    top = float(np.linalg.eigvalsh(G)[-1])
+    return top if top > 0.0 else 1.0
 
 
 def _check_batch(batch: TrajectoryBatch, partition: BlockPartition) -> None:
@@ -364,9 +349,6 @@ def solve_block_regularized(
         X = X / scale
     G = X.T @ X
     G /= d
-    L = _top_eigenvalue(G) * (1.0 + 1e-6)
-    if L <= 0.0:
-        L = 1.0
     co = np.asarray(partition.col_offsets)
     # theta holds the linear terms X^T Y / d until the solve overwrites them
     theta = np.empty(partition.shape)
@@ -375,6 +357,7 @@ def solve_block_regularized(
         # per-column product, so a one-column solve runs bit-identical ops
         theta[:, cols] = X.T @ np.ascontiguousarray(batch.Y[:, cols]) / d
     del X  # drops the standardized copy before the stacks are built
+    L = _lipschitz(G)
 
     row_groups = _size_groups(partition.row_sizes)
     iterations = np.zeros(partition.n_col_blocks, dtype=int)
@@ -495,11 +478,8 @@ def pdw_check(
             # Step 1: restricted solve on the supported blocks.
             G_on = gram / d
             c_on = X_on.T @ batch.Y[:, cols] / d
-            L = _top_eigenvalue(G_on) * (1.0 + 1e-6)
-            if L <= 0.0:
-                L = 1.0
             sub_groups = _size_groups(row_sizes[on_blocks])
-            x_on, _, resid = _lockstep_apg(G_on, c_on[None], L, config, sub_groups)
+            x_on, _, resid = _lockstep_apg(G_on, c_on[None], _lipschitz(G_on), config, sub_groups)
             theta_on = x_on[0]
             if not resid[0] <= config.kkt_tol:
                 raise ValueError(

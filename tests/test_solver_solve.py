@@ -224,6 +224,25 @@ def test_solve_peak_memory_within_column_by_column_budget(generator, d):
     assert peak <= budget
 
 
+def test_step_respects_the_largest_gram_eigenvalue(monkeypatch):
+    # On this standardized design, power iteration stopped 2.3% below
+    # lambda_max(G), so the step 1/L overshot the proximal-gradient bound.
+    model = build_model({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 3)
+    batch = simulate_batch(model, 3, 200, seed=3)
+    X = batch.X / batch.X.std(axis=0)
+    lam_max = np.linalg.norm(X, 2) ** 2 / batch.d
+    steps = []
+
+    def record_step(Gmat, c, L, cfg, groups):
+        steps.append(L)
+        k = c.shape[0]
+        return np.zeros_like(c), np.zeros(k, dtype=int), np.zeros(k)
+
+    monkeypatch.setattr(solver, "_lockstep_apg", record_step)
+    solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.1, standardize=True))
+    assert steps and all(L >= lam_max * (1 - 1e-12) for L in steps)
+
+
 def test_standardized_solve_scale_equivariance():
     # scaling a design column must not change the standardized support decision
     model = tiny_model(8)
