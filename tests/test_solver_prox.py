@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,17 @@ def test_projection_matches_bisection_oracle():
         ref = project_l1_bisection(v, radius)
         np.testing.assert_allclose(ours, ref, atol=1e-10)
         assert np.abs(ours).sum() <= radius + 1e-12
+
+
+def test_projection_radius_below_rounding_of_largest_entry():
+    # 1e6 - 1e-12 rounds to 1e6, so no entry passes the threshold test; the
+    # threshold must not divide by a zero count.
+    v = np.array([1e6, -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_l1_ball(v, 1e-12)
+        assert np.array_equal(prox_linf(v, 1e-12) + out, v)
+    assert np.abs(out).sum() <= 1e-12
 
 
 def test_projection_rejects_bad_radius():
