@@ -20,15 +20,13 @@ DEFAULT_ZERO_TOL = 1e-8
 class BlockPartition:
     """Row/column block sizes of the stacked parameter grid.
 
-    ``row_sizes`` lists the sizes of the n_state_blocks state row blocks
-    followed by the n_input_blocks input row blocks; ``col_sizes`` lists the
-    state column block sizes.
+    ``row_sizes`` lists the sizes of the state row blocks followed by the
+    input row blocks; ``col_sizes`` lists the state column block sizes, so
+    the first ``len(col_sizes)`` row blocks are the state blocks.
     """
 
     row_sizes: tuple[int, ...]
     col_sizes: tuple[int, ...]
-    n_state_blocks: int
-    n_input_blocks: int
 
     def __post_init__(self):
         object.__setattr__(self, "row_sizes", tuple(int(s) for s in self.row_sizes))
@@ -37,26 +35,26 @@ class BlockPartition:
             raise ValueError("block sizes must be positive")
         if self.n_state_blocks <= 0 or self.n_input_blocks < 0:
             raise ValueError("need at least one state block and a nonnegative input block count")
-        if len(self.row_sizes) != self.n_state_blocks + self.n_input_blocks:
-            raise ValueError(
-                f"expected {self.n_state_blocks + self.n_input_blocks} row blocks, "
-                f"got {len(self.row_sizes)}"
-            )
-        if len(self.col_sizes) != self.n_state_blocks:
-            raise ValueError(f"expected {self.n_state_blocks} column blocks, got {len(self.col_sizes)}")
         if sum(self.row_sizes[: self.n_state_blocks]) != sum(self.col_sizes):
             raise ValueError("state row blocks and column blocks must cover the same state dimension")
 
     @classmethod
     def from_block_sizes(cls, state_sizes, input_sizes) -> "BlockPartition":
-        state_sizes = tuple(int(s) for s in state_sizes)
-        input_sizes = tuple(int(s) for s in input_sizes)
-        return cls(state_sizes + input_sizes, state_sizes, len(state_sizes), len(input_sizes))
+        state_sizes = tuple(state_sizes)
+        return cls(state_sizes + tuple(input_sizes), state_sizes)
 
     @classmethod
     def scalar(cls, n: int, m: int) -> "BlockPartition":
         """Unit-block partition of an n-state, m-input system."""
         return cls.from_block_sizes((1,) * n, (1,) * m)
+
+    @property
+    def n_state_blocks(self) -> int:
+        return len(self.col_sizes)
+
+    @property
+    def n_input_blocks(self) -> int:
+        return len(self.row_sizes) - len(self.col_sizes)
 
     @property
     def n(self) -> int:

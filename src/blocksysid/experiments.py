@@ -22,7 +22,12 @@ from .metrics import error_norms, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
 from .theory import AssumptionReport, check_assumptions, lambda_schedule
 
-GENERATOR_KINDS = ("synthetic", "mass_spring", "multi_agent")
+# Parameters of each generator kind, required then optional; all but dt are counts.
+GENERATOR_PARAMS = {
+    "synthetic": (("n", "w"), ()),
+    "mass_spring": (("masses",), ("dt",)),
+    "multi_agent": (("agents", "degree"), ("state_size", "input_size", "dt")),
+}
 ESTIMATOR_NAMES = ("block_reg", "least_squares")
 
 # Fixed CSV schema. Wall time stays out of the file so that reruns with the
@@ -64,14 +69,13 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.generator, dict) or "kind" not in self.generator:
-            raise ValueError("generator must be a mapping with a 'kind' field")
-        if self.generator["kind"] not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.generator['kind']!r}")
+        _generator_params(self.generator)
         for name in ("T_list", "d_list", "seeds"):
             object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
         if not isinstance(self.standardize, bool):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
+        if not isinstance(self.estimators, (list, tuple)):
+            raise ValueError(f"estimators must be a list of names, got {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.T_list or not self.d_list or not self.seeds or not self.estimators:
             raise ValueError("T_list, d_list, seeds and estimators must be nonempty")
@@ -132,14 +136,39 @@ class ExperimentRecord:
     wall_time_seconds: float = field(compare=False)
 
 
+def _int_value(name: str, value) -> int:
+    """An integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int_tuple(name: str, values) -> tuple[int, ...]:
-    """A list field of integers; floats and booleans are rejected, not truncated."""
+    """A list field of integers."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must hold integers, got {v!r}")
-    return tuple(int(v) for v in values)
+    return tuple(_int_value(f"every entry of {name}", v) for v in values)
+
+
+def _generator_params(generator) -> dict:
+    """The parameters of a generator mapping, checked against its kind; counts as ints."""
+    if not isinstance(generator, dict) or "kind" not in generator:
+        raise ValueError("generator must be a mapping with a 'kind' field")
+    kind = generator["kind"]
+    if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    required, optional = GENERATOR_PARAMS[kind]
+    params = {k: v for k, v in generator.items() if k != "kind"}
+    for key in required:
+        if key not in params:
+            raise ValueError(f"generator {kind!r}: missing parameter {key!r}")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"generator {kind!r}: unknown parameter(s) {', '.join(map(repr, unknown))}")
+    for key, value in params.items():
+        if key != "dt":
+            params[key] = _int_value(f"generator {kind!r} parameter {key!r}", value)
+    return params
 
 
 def _parse_lambda_mode(mode: str) -> float | None:
@@ -168,25 +197,21 @@ def resolve_lambda(mode: str, partition: BlockPartition, d: int) -> float:
 
 def build_model(generator: dict, seed: int) -> SystemModel:
     """Instantiate a benchmark system from a generator description."""
-    kind = generator.get("kind")
-    params = {k: v for k, v in generator.items() if k != "kind"}
-    try:
-        if kind == "synthetic":
-            return gen_synthetic(n=int(params["n"]), w=int(params["w"]), seed=seed)
-        if kind == "mass_spring":
-            return gen_mass_spring(N=int(params["masses"]), dt=float(params.get("dt", 0.2)))
-        if kind == "multi_agent":
-            return gen_multi_agent(
-                agents=int(params["agents"]),
-                degree=int(params["degree"]),
-                state_size=int(params.get("state_size", 5)),
-                input_size=int(params.get("input_size", 5)),
-                dt=float(params.get("dt", 0.2)),
-                seed=seed,
-            )
-    except KeyError as err:
-        raise ValueError(f"generator {kind!r}: missing parameter {err.args[0]!r}") from None
-    raise ValueError(f"unknown generator kind {kind!r}")
+    params = _generator_params(generator)
+    kind = generator["kind"]
+    if kind == "synthetic":
+        return gen_synthetic(n=params["n"], w=params["w"], seed=seed)
+    dt = float(params.get("dt", 0.2))
+    if kind == "mass_spring":
+        return gen_mass_spring(N=params["masses"], dt=dt)
+    return gen_multi_agent(
+        agents=params["agents"],
+        degree=params["degree"],
+        state_size=params.get("state_size", 5),
+        input_size=params.get("input_size", 5),
+        dt=dt,
+        seed=seed,
+    )
 
 
 def _run_point(

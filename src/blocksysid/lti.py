@@ -374,12 +374,7 @@ def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
     for key in ("n", "m", "row_sizes", "col_sizes", "A", "B", "sigma_u", "sigma_w"):
         if key not in doc:
             raise ValueError(f"{source}: missing field '{key}'")
-    row_sizes = [int(s) for s in doc["row_sizes"]]
-    col_sizes = [int(s) for s in doc["col_sizes"]]
-    n_state = len(col_sizes)
-    partition = BlockPartition(
-        tuple(row_sizes), tuple(col_sizes), n_state, len(row_sizes) - n_state
-    )
+    partition = BlockPartition(doc["row_sizes"], doc["col_sizes"])
     if partition.n != int(doc["n"]) or partition.m != int(doc["m"]):
         raise ValueError(f"{source}: fields n/m disagree with the block sizes")
     return SystemModel(

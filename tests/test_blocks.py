@@ -17,6 +17,7 @@ def test_partition_basic_properties():
     assert part.n == 5
     assert part.m == 5
     assert part.shape == (10, 5)
+    assert (part.n_state_blocks, part.n_input_blocks) == (2, 2)
     assert part.row_offsets == (0, 2, 5, 6, 10)
     assert part.col_offsets == (0, 2, 5)
     assert part.max_state_block == 3
@@ -29,11 +30,11 @@ def test_partition_basic_properties():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        BlockPartition((1, 0), (1,), 1, 1)
+        BlockPartition((1, 0), (1,))
     with pytest.raises(ValueError):
-        BlockPartition((1, 2), (1, 1), 1, 1)  # col blocks disagree with state rows
+        BlockPartition((1, 2), (1, 1))  # col blocks disagree with state rows
     with pytest.raises(ValueError):
-        BlockPartition((1, 1, 1), (1,), 1, 1)  # row block count off
+        BlockPartition((2,), (1, 1))  # more column blocks than row blocks
 
 
 @pytest.mark.parametrize(
@@ -45,8 +46,7 @@ def test_partition_validation():
     ],
 )
 def test_block_range_examples(row_sizes, col_sizes, i, j, rows, cols):
-    n_state = len(col_sizes)
-    part = BlockPartition(row_sizes, col_sizes, n_state, len(row_sizes) - n_state)
+    part = BlockPartition(row_sizes, col_sizes)
     rs, cs = block_range(part, i, j)
     assert (rs.start, rs.stop) == rows
     assert (cs.start, cs.stop) == cols

@@ -32,6 +32,8 @@ def test_config_validation():
         ExperimentConfig.from_dict({"generator": {"kind": "synthetic"}})
     with pytest.raises(ValueError, match="unknown generator"):
         small_config(generator={"kind": "nope"})
+    with pytest.raises(ValueError, match="parameter 'w' must be an integer"):
+        small_config(generator={"kind": "synthetic", "n": 8, "w": True})
     with pytest.raises(ValueError, match="horizon"):
         small_config(T_list=[1])
     with pytest.raises(ValueError, match="unknown estimator"):
@@ -51,6 +53,9 @@ def test_config_validation():
         small_config(d_list=[True])
     with pytest.raises(ValueError, match="seeds"):
         small_config(seeds=[0.0])
+    # a bare string must not be split into one-letter estimator names
+    with pytest.raises(ValueError, match="estimators must be a list"):
+        small_config(estimators="block_reg")
 
 
 def test_resolve_lambda_modes():
@@ -68,6 +73,12 @@ def test_build_model_dispatch():
     assert m2.n == 8
     with pytest.raises(ValueError, match="missing parameter"):
         build_model({"kind": "synthetic", "n": 8}, seed=0)
+    # a misspelled parameter must not fall back to its default
+    with pytest.raises(ValueError, match="unknown parameter.*'dT'"):
+        build_model({"kind": "mass_spring", "masses": 3, "dT": 0.05}, seed=0)
+    # a float count must not be truncated
+    with pytest.raises(ValueError, match="parameter 'n' must be an integer"):
+        build_model({"kind": "synthetic", "n": 8.9, "w": 1}, seed=0)
 
 
 def test_run_experiment_records():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blocksysid.blocks import BlockPartition, BlockSupport, support_pattern
-from blocksysid.lti import SystemModel, TrajectoryBatch, gen_synthetic, simulate_batch
+from blocksysid.blocks import BlockPartition, BlockSupport, block_range, support_pattern
+from blocksysid.lti import SystemModel, TrajectoryBatch, gen_multi_agent, gen_synthetic, simulate_batch
 from blocksysid.solver import EstimatorConfig, pdw_check, solve_block_regularized
 from blocksysid.theory import lambda_schedule
 
@@ -102,15 +102,42 @@ def test_witness_undefined_on_rank_deficient_restricted_design():
         pdw_check(batch, part, 0.1, truth)
 
 
-def test_witness_requires_disturbance_and_positive_lambda():
+def test_witness_reads_only_the_data_and_requires_positive_lambda():
     model = gen_synthetic(6, 1, seed=3)
     batch = simulate_batch(model, 3, 40, seed=3)
     truth = support_pattern(model.stacked(), model.partition, 0.0)
     stripped = TrajectoryBatch(X=batch.X, Y=batch.Y, W=None, T=batch.T, seed=batch.seed)
-    with pytest.raises(ValueError, match="witness"):
-        pdw_check(stripped, model.partition, 0.1, truth)
+    # the disturbance is not observable, so the witness must not need it
+    r1 = pdw_check(stripped, model.partition, 0.1, truth)
+    r2 = pdw_check(batch, model.partition, 0.1, truth)
+    assert (r1.success, r1.gamma_margin) == (r2.success, r2.gamma_margin) and all(
+        np.array_equal(a, b) for a, b in zip(r1.dual_norms, r2.dual_norms, strict=True)
+    )
     with pytest.raises(ValueError, match="witness"):
         pdw_check(batch, model.partition, 0.0, truth)
+
+
+def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks():
+    # 3x3 blocks: the block max-abs prox clips the top entries of a block to
+    # a common value, so on-support blocks have tied maxima.  The witness must
+    # use the subgradient its restricted solve certifies, which makes its dual
+    # the scaled gradient of the full problem at an exact-recovery solution.
+    model = gen_multi_agent(8, 2, 3, 3, 0.2, seed=2)
+    part = model.partition
+    d = 800
+    batch = standardized(simulate_batch(model, 3, d, seed=2))
+    lam = lambda_schedule(part.max_block_size, part.n_state_blocks, part.n_input_blocks, d)
+    truth = support_pattern(model.stacked(), part, 0.0)
+    full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam, kkt_tol=1e-9))
+    assert full.support.equal(truth)
+
+    report = pdw_check(batch, part, lam, truth)
+    assert report.success
+    Q = batch.X.T @ (batch.Y - batch.X @ full.theta_hat) / (d * lam)
+    for j in range(part.n_col_blocks):
+        for norm, i in zip(report.dual_norms[j], truth.zero_rows(j + 1), strict=True):
+            rows, cols = block_range(part, i + 1, j + 1)
+            assert abs(norm - np.abs(Q[rows, cols]).sum()) < 1e-6
 
 
 def test_witness_deterministic():

@@ -84,9 +84,7 @@ def test_column_block_separability_bitwise():
     joint = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
     for j in range(part.n_col_blocks):
         # same row blocks, a single column block: the j-th subproblem on its own
-        sub_part = BlockPartition(
-            part.row_sizes, (part.col_sizes[j],), 1, part.n_row_blocks - 1
-        )
+        sub_part = BlockPartition(part.row_sizes, (part.col_sizes[j],))
         sub_batch = TrajectoryBatch(
             X=batch.X, Y=batch.Y[:, j : j + 1], W=None, T=batch.T, seed=batch.seed
         )

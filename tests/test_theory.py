@@ -119,7 +119,7 @@ def test_min_block_magnitude_examples():
     case1 = gen_synthetic(10, 1, seed=0)
     assert min_block_magnitude(case1.stacked(), case1.partition) == pytest.approx(0.3)
 
-    part3 = BlockPartition((1, 1, 1), (1, 1), 2, 1)
+    part3 = BlockPartition((1, 1, 1), (1, 1))
     theta = np.array([[1.0, 0.0], [0.3, 0.0], [0.0, 0.7]])
     assert min_block_magnitude(theta, part3) == pytest.approx(0.3)
 
