@@ -151,7 +151,7 @@ def _int_tuple(name: str, values) -> tuple[int, ...]:
 
 
 def _generator_params(generator) -> dict:
-    """The parameters of a generator mapping, checked against its kind; counts as ints."""
+    """The parameters of a generator mapping, checked against its kind; counts as ints, dt as a number."""
     if not isinstance(generator, dict) or "kind" not in generator:
         raise ValueError("generator must be a mapping with a 'kind' field")
     kind = generator["kind"]
@@ -166,8 +166,11 @@ def _generator_params(generator) -> dict:
     if unknown:
         raise ValueError(f"generator {kind!r}: unknown parameter(s) {', '.join(map(repr, unknown))}")
     for key, value in params.items():
+        name = f"generator {kind!r} parameter {key!r}"
         if key != "dt":
-            params[key] = _int_value(f"generator {kind!r} parameter {key!r}", value)
+            params[key] = _int_value(name, value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     return params
 
 

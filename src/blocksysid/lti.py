@@ -5,13 +5,16 @@ Dynamics are ``x[t+1] = A x[t] + B u[t] + w[t]`` with Gaussian inputs
 of d independent trajectories, each started at x[0] = 0 and run to horizon T,
 contributes only its final transition to the regression data: the design row
 ``[x[T-1]^T u[T-1]^T]``, the observation row ``x[T]^T``, and the last-step
-disturbance ``w[T-1]^T``.
+disturbance ``w[T-1]^T``.  The simulator steps trajectories in chunks sized
+from a fixed buffer budget for their normals, with batched matrix-vector
+products that reproduce the per-trajectory recurrence bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +23,14 @@ from .blocks import BlockPartition
 
 SYMMETRY_TOL = 1e-12
 EIG_TOL = 1e-10
+# Bytes of standard normals that simulate_batch holds at once; it sets the
+# chunk of trajectories stepped together and so the simulator's peak memory.
+NORMALS_BUDGET_BYTES = 64 << 10
 
 
 def stack_parameters(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Stack (A, B) into the (n+m) x n regression parameter [A B]^T."""
     return np.hstack([A, B]).T
-
-
-def split_parameters(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`stack_parameters`."""
-    return theta[:n].T.copy(), theta[n:].T.copy()
 
 
 def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -137,7 +138,6 @@ class CovarianceReport:
     kappa: float
     lambda_min: float
     lambda_max: float
-    max_variance: float
 
 
 def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryBatch:
@@ -148,7 +148,17 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     not depend on evaluation order.  Within a trajectory the draws are
     chronological, which keeps the stored last-step disturbance independent
     of everything that enters the design row.
+
+    Trajectories run in chunks sized so that the chunk's normals fit in
+    ``NORMALS_BUDGET_BYTES``.  Each trajectory fills its T rows of
+    ``[u normals, w normals]`` with one draw, and the recurrence steps the
+    whole chunk with batched matrix-vector products in the association order
+    of ``x = A x + B u + w``, so the result is bit-equal to stepping each
+    trajectory on its own.
     """
+    for name, value in (("T", T), ("d", d)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 2:
         raise ValueError("T must be at least 2 (the state part of the design degenerates)")
     if d < 1:
@@ -158,20 +168,26 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     fac_w = _psd_factor(model.sigma_w)
     A, B = model.A, model.B
 
+    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m)))
+    normals = np.empty((min(chunk, d), T, n + m))
+    children = np.random.SeedSequence(seed).spawn(d)
     X = np.empty((d, n + m))
     W = np.empty((d, n))
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
-        rng = np.random.default_rng(child)
-        x = np.zeros(n)
+    for start in range(0, d, chunk):
+        z = normals[: min(chunk, d - start)]
+        for row, child in zip(z, children[start : start + chunk]):
+            np.random.default_rng(child).standard_normal(out=row)
+        # (k, n, 1) stacks: matmul runs one gemv per trajectory, which
+        # matches ``M @ v`` bit for bit where a gemm across the chunk would not
+        x = np.zeros((len(z), n, 1))
         for t in range(T - 1):
-            u = fac_u @ rng.standard_normal(m)
-            w = fac_w @ rng.standard_normal(n)
-            x = A @ x + B @ u + w
-        u_last = fac_u @ rng.standard_normal(m)
-        w_last = fac_w @ rng.standard_normal(n)
-        X[i, :n] = x
-        X[i, n:] = u_last
-        W[i] = w_last
+            u = np.matmul(fac_u, z[:, t, :m, None])
+            w = np.matmul(fac_w, z[:, t, m:, None])
+            x = np.matmul(A, x) + np.matmul(B, u) + w
+        rows = slice(start, start + len(z))
+        X[rows, :n] = x[:, :, 0]
+        X[rows, n:] = np.matmul(fac_u, z[:, T - 1, :m, None])[:, :, 0]
+        W[rows] = np.matmul(fac_w, z[:, T - 1, m:, None])[:, :, 0]
     # Final transition applied at the matrix level so Y - X theta - W is
     # bitwise zero.
     Y = X @ model.stacked() + W
@@ -219,7 +235,6 @@ def design_covariance(model: SystemModel, T: int) -> CovarianceReport:
         kappa=kappa,
         lambda_min=lambda_min,
         lambda_max=lambda_max,
-        max_variance=float(row_cov.diagonal().max()),
     )
 
 

@@ -3,8 +3,9 @@
 Everything here is deliberately slow and structurally different from the
 library code paths it checks: bisection instead of sort-threshold for the
 l1 projection, raw subgradient descent instead of proximal iterations for
-the estimator, and normal equations instead of an orthogonal factorization
-for least squares.
+the estimator, normal equations instead of an orthogonal factorization
+for least squares, and one trajectory at a time instead of chunks for the
+simulator.
 """
 
 import numpy as np
@@ -140,3 +141,36 @@ def subgradient_minimize_many(Xs, Ys, lams, row_sizes, col_sizes, iters=400_000)
 def least_squares_normal_equations(X, Y):
     """Explicit normal-equations solve; numerically worse, structurally different."""
     return np.linalg.solve(X.T @ X, X.T @ Y)
+
+
+def simulate_batch_reference(model, T, d, seed):
+    """(X, Y, W) of ``simulate_batch`` by stepping one trajectory at a time.
+
+    Each step draws m input normals and then n disturbance normals from the
+    trajectory's own generator and applies ``x = A x + B u + w`` with 1-D
+    matrix-vector products.
+    """
+
+    def factor(sigma):
+        if sigma.size == 0:
+            return sigma.copy()
+        evals, vecs = np.linalg.eigh(sigma)
+        return vecs * np.sqrt(np.clip(evals, 0.0, None))
+
+    n, m = model.n, model.m
+    fac_u, fac_w = factor(model.sigma_u), factor(model.sigma_w)
+    A, B = model.A, model.B
+    X = np.empty((d, n + m))
+    W = np.empty((d, n))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
+        rng = np.random.default_rng(child)
+        x = np.zeros(n)
+        for _ in range(T - 1):
+            u = fac_u @ rng.standard_normal(m)
+            w = fac_w @ rng.standard_normal(n)
+            x = A @ x + B @ u + w
+        X[i, :n] = x
+        X[i, n:] = fac_u @ rng.standard_normal(m)
+        W[i] = fac_w @ rng.standard_normal(n)
+    Y = X @ np.hstack([A, B]).T + W
+    return X, Y, W

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from oracles import simulate_batch_reference
 
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
+    NORMALS_BUDGET_BYTES,
     SystemModel,
     TrajectoryBatch,
     design_covariance,
@@ -12,8 +14,10 @@ from blocksysid.lti import (
     load_model,
     save_batch_csv,
     save_model,
+    gen_mass_spring,
+    gen_multi_agent,
+    gen_synthetic,
     simulate_batch,
-    split_parameters,
     stack_parameters,
 )
 
@@ -34,8 +38,7 @@ def test_stack_roundtrip():
     B = rng.standard_normal((3, 2))
     theta = stack_parameters(A, B)
     assert theta.shape == (5, 3)
-    A2, B2 = split_parameters(theta, 3)
-    assert np.array_equal(A, A2) and np.array_equal(B, B2)
+    assert np.array_equal(theta, np.hstack([A, B]).T)
 
 
 def test_model_validation():
@@ -108,6 +111,46 @@ def test_simulate_rejects_bad_arguments():
         simulate_batch(model, T=1, d=10, seed=0)
     with pytest.raises(ValueError):
         simulate_batch(model, T=3, d=0, seed=0)
+    # a float or bool count is rejected, not truncated or read as 1
+    for T, d, name in ((3.0, 5, "T"), (3, 5.0, "d"), (True, 5, "T"), (3, True, "d"), (3, "5", "d")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate_batch(model, T=T, d=d, seed=0)
+    assert simulate_batch(model, T=np.int64(3), d=np.int64(2), seed=0).d == 2
+
+
+def _without_disturbance(model):
+    return SystemModel(
+        A=model.A, B=model.B, sigma_u=model.sigma_u, sigma_w=np.zeros_like(model.sigma_w),
+        partition=model.partition,
+    )
+
+
+@pytest.mark.parametrize("T", [2, 6])
+@pytest.mark.parametrize(
+    "model",
+    [
+        gen_synthetic(30, 1, seed=0),
+        gen_mass_spring(7, dt=0.2),
+        gen_multi_agent(4, 1, 2, 3, dt=0.2, seed=1),
+        _without_disturbance(gen_mass_spring(3, dt=0.2)),
+        SystemModel(
+            A=0.5 * np.eye(3), B=np.zeros((3, 0)), sigma_u=np.zeros((0, 0)), sigma_w=np.eye(3),
+            partition=BlockPartition.from_block_sizes((1, 2), ()),
+        ),
+    ],
+    ids=["synthetic", "mass_spring", "multi_agent", "sigma_w_zero", "no_inputs"],
+)
+def test_simulate_matches_per_trajectory_reference(model, T):
+    # the chunked, batched simulator must give the per-trajectory recurrence's
+    # bits, across chunk boundaries and for a partial last chunk
+    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
+    assert chunk > 2
+    for d in (1, chunk - 1, chunk + 1, 2 * chunk + chunk // 2):
+        batch = simulate_batch(model, T, d, seed=d)
+        X, Y, W = simulate_batch_reference(model, T, d, seed=d)
+        assert np.array_equal(batch.X, X)
+        assert np.array_equal(batch.Y, Y)
+        assert np.array_equal(batch.W, W)
 
 
 def test_simulate_covariance_matches_analytic():
@@ -173,7 +216,6 @@ def test_design_covariance_identity_kappa():
     assert rep.kappa == pytest.approx(1.0)
     assert rep.lambda_min == pytest.approx(1.0)
     assert rep.lambda_max == pytest.approx(1.0)
-    assert rep.max_variance == pytest.approx(1.0)
 
 
 def test_design_covariance_singular_gives_inf_kappa():
