@@ -151,7 +151,7 @@ def _int_tuple(name: str, values) -> tuple[int, ...]:
 
 
 def _generator_params(generator) -> dict:
-    """The parameters of a generator mapping, checked against its kind; counts as ints, dt as a number."""
+    """The parameters of a generator mapping, checked against its kind; counts as ints, dt as a finite number."""
     if not isinstance(generator, dict) or "kind" not in generator:
         raise ValueError("generator must be a mapping with a 'kind' field")
     kind = generator["kind"]
@@ -169,8 +169,8 @@ def _generator_params(generator) -> dict:
         name = f"generator {kind!r} parameter {key!r}"
         if key != "dt":
             params[key] = _int_value(name, value)
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     return params
 
 

@@ -79,9 +79,9 @@ def test_build_model_dispatch():
     # a float count must not be truncated
     with pytest.raises(ValueError, match="parameter 'n' must be an integer"):
         build_model({"kind": "synthetic", "n": 8.9, "w": 1}, seed=0)
-    # a bool or string sampling time must not be read as a number
-    for dt in (True, "0.5"):
-        with pytest.raises(ValueError, match="parameter 'dt' must be a number"):
+    # a bool, string or non-finite sampling time must not be read as a number
+    for dt in (True, "0.5", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="parameter 'dt' must be a finite number"):
             build_model({"kind": "mass_spring", "masses": 3, "dt": dt}, seed=0)
 
 

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from oracles import simulate_batch_reference
 
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
@@ -10,16 +9,18 @@ from blocksysid.lti import (
     SystemModel,
     TrajectoryBatch,
     design_covariance,
+    gen_mass_spring,
+    gen_multi_agent,
+    gen_synthetic,
     load_batch_csv,
     load_model,
     save_batch_csv,
     save_model,
-    gen_mass_spring,
-    gen_multi_agent,
-    gen_synthetic,
     simulate_batch,
     stack_parameters,
 )
+
+from oracles import simulate_batch_reference
 
 
 def scalar_model(a, b, su, sw):
