@@ -113,12 +113,6 @@ class BlockPartition:
         """Element count of the largest block in the grid."""
         return self.max_block_side * self.max_state_block
 
-    def col_block_size(self, j: int) -> int:
-        """Element count of the largest block in (1-based) block column j."""
-        if not 1 <= j <= self.n_col_blocks:
-            raise IndexError(f"block column {j} out of range 1..{self.n_col_blocks}")
-        return self.max_block_side * self.col_sizes[j - 1]
-
 
 @dataclass(frozen=True, eq=False)
 class BlockSupport:
@@ -146,10 +140,6 @@ class BlockSupport:
     def blocks_per_column(self) -> np.ndarray:
         """Number of nonzero blocks in each block column."""
         return self.mask.sum(axis=0)
-
-    @property
-    def max_blocks_per_column(self) -> int:
-        return int(self.blocks_per_column.max()) if self.mask.size else 0
 
     def count(self) -> int:
         return int(self.mask.sum())

@@ -292,8 +292,8 @@ def gen_mass_spring(N: int, dt: float) -> SystemModel:
     """
     if N < 1:
         raise ValueError("need at least one mass")
-    if dt <= 0:
-        raise ValueError("sampling time must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
     S = -2.0 * np.eye(N)
     idx = np.arange(N - 1)
     S[idx, idx + 1] = 1.0
@@ -335,8 +335,8 @@ def gen_multi_agent(
         raise ValueError(f"degree must lie in [0, {agents - 1}]")
     if state_size < 1 or input_size < 1:
         raise ValueError("agent block sizes must be positive")
-    if dt <= 0:
-        raise ValueError("sampling time must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
     rng = np.random.default_rng(seed)
     n = agents * state_size
     m = agents * input_size

@@ -7,16 +7,16 @@ The estimator minimizes, over the stacked parameter ``theta``,
 which splits into independent subproblems, one per block column.  The
 subproblems are solved together by accelerated proximal gradient (momentum
 with adaptive restart), block columns of one width stacked and stepped in
-lockstep, with every column's iterates identical to a solve of that column
-alone.  The per-block max-abs prox follows from Euclidean projection onto
-the l1 ball, which also produces exact zero blocks.  Convergence is certified
-per column by the distance of the scaled negative gradient from the
-subdifferential of the block norm.
+lockstep: a step runs one stacked Gram product for the whole stack, and
+every column's iterates are identical to a solve of that column alone.  The
+per-block max-abs prox follows from Euclidean projection onto the l1 ball,
+which also produces exact zero blocks.  Convergence is certified per column
+by the distance of the scaled negative gradient from the subdifferential of
+the block norm.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +141,17 @@ def _l1_thresholds(a_sorted_desc: np.ndarray, radius: float) -> np.ndarray:
     return (css[rows, rho - 1] - radius) / rho
 
 
-def _prox_rows(V: np.ndarray, tau: float) -> np.ndarray:
-    """Row-wise prox of ``tau * max-abs``; rows inside the l1 ball collapse to 0."""
+def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """Row-wise prox of ``tau * max-abs`` into ``out``, apart from V; rows in the l1 ball go to 0."""
     if tau == 0:
-        return V.copy()
-    a = np.abs(V)
-    out = np.zeros_like(V)
-    outside = a.sum(axis=1) > tau
-    if np.any(outside):
+        np.copyto(out, V)
+        return out
+    a = np.abs(V, out=out)
+    outside = np.flatnonzero(a.sum(axis=1) > tau)
+    ao = a[outside]
+    out.fill(0.0)
+    if outside.size:
         Vo = V[outside]
-        ao = a[outside]
         theta = _l1_thresholds(np.sort(ao, axis=1)[:, ::-1], tau)
         out[outside] = Vo - np.sign(Vo) * np.maximum(ao - theta[:, None], 0.0)
     return out
@@ -187,41 +188,45 @@ def _stack(mat: np.ndarray, cols, width: int) -> np.ndarray:
 
 
 def _block_rows(stack: np.ndarray, rows, p: int) -> np.ndarray:
-    """The (column, block) rows of one size group, each block flattened row-major."""
+    """One size group's (column, block) rows, blocks flattened; a view if they span the stack."""
     return stack[:, rows].reshape(-1, p * stack.shape[2])
 
 
 def _prox_stack(V: np.ndarray, tau: float, groups, out: np.ndarray) -> None:
     for p, _, rows in groups:
-        out[:, rows] = _prox_rows(_block_rows(V, rows, p), tau).reshape(V.shape[0], -1, V.shape[2])
+        dst = _prox_rows(_block_rows(V, rows, p), tau, out=_block_rows(out, rows, p))
+        if not np.may_share_memory(dst, out):  # a copy, not a view of out
+            out[:, rows] = dst.reshape(out.shape[0], -1, out.shape[2])
 
 
 def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarray:
     """Per-column distance of the scaled negative gradient from the block-norm subdifferential.
 
-    ``x`` and ``grad`` are (k, rows, width) stacks.  Zero blocks contribute
-    their l1 excess over the unit dual ball; nonzero blocks contribute the
-    Euclidean distance to the set of valid subgradients (signed simplex
-    weights on the max-abs entries).  Each column gets the max over its
-    blocks scaled by lam; for lam = 0 it is the plain gradient max-abs.
+    ``x`` and ``grad`` are (k, rows, width) stacks; ``grad`` is overwritten.
+    Zero blocks contribute their l1 excess over the unit dual ball; nonzero
+    blocks contribute the Euclidean distance to the set of valid subgradients
+    (signed simplex weights on the max-abs entries).  Each column gets the
+    max over its blocks scaled by lam; for lam = 0 it is the plain gradient
+    max-abs.
     """
     k = x.shape[0]
     if lam == 0:
-        return np.abs(grad).reshape(k, -1).max(axis=1, initial=0.0)
+        return np.abs(grad, out=grad).reshape(k, -1).max(axis=1, initial=0.0)
     worst = np.zeros(k)
-    Q = np.negative(grad)
-    Q /= lam
     for p, blocks, rows in groups:
         Th = _block_rows(x, rows, p)
-        Qm = _block_rows(Q, rows, p)
-        vmax = np.abs(Th).max(axis=1)
-        zero = vmax == 0.0
-        nz = ~zero
-        per_row = np.empty(Th.shape[0])
-        per_row[zero] = np.maximum(np.abs(Qm[zero]).sum(axis=1) - 1.0, 0.0)
+        Qm = _block_rows(grad, rows, p)
+        nz = np.flatnonzero(Th.any(axis=1))
         Thn = Th[nz]
-        Qn = Qm[nz]
-        on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
+        Qn = np.negative(Qm[nz]) / lam
+        # |grad| / lam is |-grad / lam| bit for bit: IEEE division is sign-symmetric
+        np.abs(Qm, out=Qm)
+        Qm /= lam
+        per_row = Qm.sum(axis=1)
+        per_row -= 1.0
+        np.maximum(per_row, 0.0, out=per_row)
+        vmax = np.abs(Thn).max(axis=1)
+        on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax)[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
         # projection onto the probability simplex over the max entries
         y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], 1.0)[:, None], 0.0)
@@ -232,18 +237,28 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
     return lam * worst
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-column inner products of two (n, rows, width) stacks, bit-equal to np.vdot's.
+
+    The batch loop of the (n, 1, K) @ (n, K, 1) matmul makes np.vdot's BLAS call per column.
+    """
+    n = a.shape[0]
+    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1), out=out[:n])[:, 0, 0]
+
+
 def _lockstep_apg(
     Gmat: np.ndarray, c: np.ndarray, L: float, config: EstimatorConfig, groups
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accelerated proximal gradient with adaptive restart on a stack of block columns.
 
-    ``c`` is a (k, rows, width) stack of linear terms, one independent
-    subproblem per column.  Prox, momentum, restart and the KKT residual run
-    over every (column, block) row at once; the product with ``Gmat`` and
-    the restart test stay per column, so each column's iterates are those of
-    a one-column solve bit for bit.  A column leaves the stack when its
-    residual reaches ``kkt_tol`` or after ``max_iter`` steps.  Returns the
-    final iterates (k, rows, width), the step counts and the residuals.
+    ``c`` is a C-contiguous (k, rows, width) stack of linear terms, one
+    subproblem per column, and the kernel consumes it.  A step runs over the
+    whole stack: one stacked product with ``Gmat`` and one stacked restart
+    dot, whose batch loops make a one-column solve's BLAS calls per column,
+    so each column's iterates are a one-column solve's bit for bit.  A column
+    leaves the stack when its residual reaches ``kkt_tol`` or after
+    ``max_iter`` steps.  Returns the final iterates (k, rows, width), the
+    step counts and the residuals.
     """
     lam, tol = config.lambda_d, config.kkt_tol
     k = c.shape[0]
@@ -252,9 +267,9 @@ def _lockstep_apg(
     residuals = np.empty(k)
     live = np.arange(k)
     t = np.ones(k)
+    dots = np.empty((k, 1, 1))
     # Fixed buffers reused in place, so steps do not churn the heap; the
     # live columns fill the first n slots.
-    c = c.copy()
     x, z, gx, gz, x_new, gx_new, v = (np.zeros_like(c) for _ in range(7))
     n = k
     resid = _kkt_stack(x, np.subtract(gx, c, out=v), lam, groups)
@@ -279,20 +294,18 @@ def _lockstep_apg(
         np.subtract(GZ, C, out=V)  # gradient at z
         V /= L
         _prox_stack(np.subtract(Z, V, out=V), lam / L, groups, out=XN)
+        np.matmul(Gmat, XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
-        restart = np.empty(n, dtype=bool)
-        for j in range(n):
-            np.matmul(Gmat, XN[j], out=GXN[j])
-            restart[j] = np.vdot(dz[j], dx[j]) > 0  # momentum points uphill
+        restart = _column_dots(dz, dx, dots) > 0  # momentum points uphill
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = ((t - 1.0) / t_next)[:, None, None]
         np.multiply(beta, dx, out=X)  # next z, in x's buffer
         X += XN
-        X[restart] = XN[restart]
         np.multiply(1.0 + beta, GXN, out=V)  # next gz, in v's buffer
         V -= np.multiply(beta, GX, out=GX)
-        V[restart] = GXN[restart]
+        np.copyto(X, XN, where=restart[:, None, None])
+        np.copyto(V, GXN, where=restart[:, None, None])
         t = np.where(restart, 1.0, t_next)
         x, z, x_new = x_new, x, z
         gx, gz, gx_new, v = gx_new, v, gx, gz
@@ -302,10 +315,11 @@ def _lockstep_apg(
 def _stack_cap(rows: int, width: int) -> int:
     """Most block columns one lockstep stack may hold.
 
-    A step of :func:`_lockstep_apg` keeps 12-16 arrays of the stack's size
-    alive (measured with tracemalloc).  Capping each at 64 KiB bounds that
-    working set near 1 MiB whatever the problem size, which on the benchmark
-    sweeps kept peak resident memory at the column-by-column solver's level.
+    A step of :func:`_lockstep_apg` keeps 10-15 arrays of the stack's size
+    alive, the input stack included (measured with tracemalloc).  Capping
+    each at 64 KiB bounds that working set near 1 MiB whatever the problem
+    size, which on the benchmark sweeps kept peak resident memory at the
+    column-by-column solver's level.
     """
     return max(1, 2**16 // (8 * rows * width))
 
@@ -497,9 +511,3 @@ def estimate_to_dict(result: EstimateResult) -> dict:
         "lambda_d": float(result.lambda_d),
         "kkt_residual": float(result.kkt_residual),
     }
-
-
-def save_estimate(result: EstimateResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(estimate_to_dict(result), fh, indent=2)
-        fh.write("\n")

@@ -5,10 +5,13 @@ library code paths it checks: bisection instead of sort-threshold for the
 l1 projection, raw subgradient descent instead of proximal iterations for
 the estimator, normal equations instead of an orthogonal factorization
 for least squares, and one trajectory at a time instead of chunks for the
-simulator.
+simulator.  The step-kernel references are the solver's former allocating
+kernels, which the in-place ones must match bit for bit.
 """
 
 import numpy as np
+
+from blocksysid.solver import _SENTINEL, TIE_RTOL, _l1_thresholds
 
 
 def project_l1_sort_scan(v, radius):
@@ -174,3 +177,60 @@ def simulate_batch_reference(model, T, d, seed):
         W[i] = fac_w @ rng.standard_normal(n)
     Y = X @ np.hstack([A, B]).T + W
     return X, Y, W
+
+
+def _block_rows_reference(stack, rows, p):
+    return stack[:, rows].reshape(-1, p * stack.shape[2])
+
+
+def prox_rows_reference(V, tau):
+    """Row-wise prox of ``tau * max-abs``, gathering the rows outside the l1 ball."""
+    if tau == 0:
+        return V.copy()
+    a = np.abs(V)
+    out = np.zeros_like(V)
+    outside = a.sum(axis=1) > tau
+    if np.any(outside):
+        Vo = V[outside]
+        ao = a[outside]
+        theta = _l1_thresholds(np.sort(ao, axis=1)[:, ::-1], tau)
+        out[outside] = Vo - np.sign(Vo) * np.maximum(ao - theta[:, None], 0.0)
+    return out
+
+
+def prox_stack_reference(V, tau, groups):
+    """Prox of a (k, rows, width) stack, one size group at a time, into a new array."""
+    out = np.empty_like(V)
+    for p, _, rows in groups:
+        out[:, rows] = prox_rows_reference(_block_rows_reference(V, rows, p), tau).reshape(
+            V.shape[0], -1, V.shape[2]
+        )
+    return out
+
+
+def kkt_stack_reference(x, grad, lam, groups):
+    """Per-column KKT residual of a stack, from a full negated copy of the gradient."""
+    k = x.shape[0]
+    if lam == 0:
+        return np.abs(grad).reshape(k, -1).max(axis=1, initial=0.0)
+    worst = np.zeros(k)
+    Q = np.negative(grad)
+    Q /= lam
+    for p, blocks, rows in groups:
+        Th = _block_rows_reference(x, rows, p)
+        Qm = _block_rows_reference(Q, rows, p)
+        vmax = np.abs(Th).max(axis=1)
+        zero = vmax == 0.0
+        nz = ~zero
+        per_row = np.empty(Th.shape[0])
+        per_row[zero] = np.maximum(np.abs(Qm[zero]).sum(axis=1) - 1.0, 0.0)
+        Thn = Th[nz]
+        Qn = Qm[nz]
+        on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
+        r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
+        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], 1.0)[:, None], 0.0)
+        dist2 = (Qn * Qn * ~on_max).sum(axis=1)
+        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
+        per_row[nz] = np.sqrt(dist2)
+        np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
+    return lam * worst

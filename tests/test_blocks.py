@@ -24,8 +24,6 @@ def test_partition_basic_properties():
     assert part.max_input_block == 4
     assert part.max_block_side == 4
     assert part.max_block_size == 12
-    assert part.col_block_size(1) == 8
-    assert part.col_block_size(2) == 12
 
 
 def test_partition_validation():
@@ -150,7 +148,6 @@ def test_block_support_helpers():
     assert list(sup.nonzero_rows(1)) == [0, 2]
     assert list(sup.zero_rows(2)) == [0]
     assert list(sup.blocks_per_column) == [2, 2]
-    assert sup.max_blocks_per_column == 2
     assert sup.count() == 4
     assert sup.equal(BlockSupport(mask.copy()))
     assert not sup.equal(BlockSupport(~mask))

@@ -92,6 +92,15 @@ def test_mass_spring_validation():
         gen_mass_spring(2, dt=0.0)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), float("-inf")])
+def test_generators_reject_non_finite_dt(dt):
+    # NaN passes a `dt <= 0` check, and gen_mass_spring(3, nan) returned an all-NaN A
+    with pytest.raises(ValueError, match="dt"):
+        gen_mass_spring(3, dt)
+    with pytest.raises(ValueError, match="dt"):
+        gen_multi_agent(5, 2, 2, 2, dt=dt, seed=0)
+
+
 def test_multi_agent_dimensions():
     model = gen_multi_agent(200, 5, 5, 5, dt=0.2, seed=0)
     assert model.n == 1000 and model.m == 1000

