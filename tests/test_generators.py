@@ -94,7 +94,7 @@ def test_mass_spring_validation():
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), float("-inf")])
 def test_generators_reject_non_finite_dt(dt):
-    # NaN passes a `dt <= 0` check, and gen_mass_spring(3, nan) returned an all-NaN A
+    # NaN passes a plain `dt <= 0` check and would make A all NaN
     with pytest.raises(ValueError, match="dt"):
         gen_mass_spring(3, dt)
     with pytest.raises(ValueError, match="dt"):
