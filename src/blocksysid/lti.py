@@ -5,9 +5,12 @@ Dynamics are ``x[t+1] = A x[t] + B u[t] + w[t]`` with Gaussian inputs
 of d independent trajectories, each started at x[0] = 0 and run to horizon T,
 contributes only its final transition to the regression data: the design row
 ``[x[T-1]^T u[T-1]^T]``, the observation row ``x[T]^T``, and the last-step
-disturbance ``w[T-1]^T``.  The simulator steps trajectories in chunks sized
-from a fixed buffer budget for their normals, with batched matrix-vector
-products that reproduce the per-trajectory recurrence bit for bit.
+disturbance ``w[T-1]^T``.  Trajectory i draws from the PCG64 stream of
+``np.random.SeedSequence(seed).spawn(d)[i]``; the seed words of all d
+children come from one vectorized pass of numpy's seed-sequence hash.  The
+simulator steps trajectories in chunks sized from a fixed buffer budget for
+their normals, with batched matrix-vector products that reproduce the
+per-trajectory recurrence bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,15 @@ EIG_TOL = 1e-10
 # Bytes of standard normals that simulate_batch holds at once; it sets the
 # chunk of trajectories stepped together and so the simulator's peak memory.
 NORMALS_BUDGET_BYTES = 64 << 10
+
+# numpy's SeedSequence: the seed_seq hash of O'Neill, "PCG: a family of
+# simple fast space-efficient statistically good algorithms for random number
+# generation" (HMC-CS-2014-0905), with a pool of four 32-bit words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def stack_parameters(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -140,14 +152,75 @@ class CovarianceReport:
     lambda_max: float
 
 
+def _spawned_states(seed: int, d: int) -> np.ndarray:
+    """(d, 4) uint64 words of ``SeedSequence(seed).spawn(d)[i].generate_state(4, np.uint64)``.
+
+    Child i hashes the seed's 32-bit words, least significant first and
+    zero-padded to the pool size, followed by the spawn key i.  The hash
+    constants do not depend on the data, so they are Python ints masked to 32
+    bits, and only the words are uint32 arrays: (1,) until the spawn key
+    enters, (d,) after, so every child is hashed in the same array pass.
+    """
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(d, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    hash_const = _INIT_B
+    state = np.empty((d, 2 * _POOL_SIZE), dtype=np.uint32)
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, k] = value ^ (value >> 16)
+    # uint64 word j is 32-bit words (2j, 2j+1), low word first
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+class _SpawnedState(np.random.bit_generator.ISeedSequence):
+    """One child's precomputed words, for the ``generate_state(4, np.uint64)`` call of PCG64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryBatch:
     """Simulate d independent trajectories and keep only the last transition.
 
-    Each trajectory draws from its own substream derived from
-    ``(seed, trajectory index)``, so the output is bit-reproducible and does
-    not depend on evaluation order.  Within a trajectory the draws are
-    chronological, which keeps the stored last-step disturbance independent
-    of everything that enters the design row.
+    Trajectory i draws from ``default_rng(SeedSequence(seed).spawn(d)[i])``,
+    so the output is bit-reproducible and does not depend on evaluation
+    order or on d.  ``_spawned_states`` hashes the seed words of all d
+    children at once, and numpy's PCG64 seeds itself from them as it would
+    from the child.  Within a trajectory the draws are chronological, which
+    keeps the stored last-step disturbance independent of everything that
+    enters the design row.
 
     Trajectories run in chunks sized so that the chunk's normals fit in
     ``NORMALS_BUDGET_BYTES``.  Each trajectory fills its T rows of
@@ -156,13 +229,15 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     of ``x = A x + B u + w``, so the result is bit-equal to stepping each
     trajectory on its own.
     """
-    for name, value in (("T", T), ("d", d)):
+    for name, value in (("T", T), ("d", d), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 2:
         raise ValueError("T must be at least 2 (the state part of the design degenerates)")
-    if d < 1:
-        raise ValueError("need at least one trajectory")
+    if not 1 <= d <= _MASK32:
+        raise ValueError(f"d must lie in [1, 2**32 - 1] (one spawn-key word), got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n, m = model.n, model.m
     fac_u = _psd_factor(model.sigma_u)
     fac_w = _psd_factor(model.sigma_w)
@@ -170,13 +245,13 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
 
     chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m)))
     normals = np.empty((min(chunk, d), T, n + m))
-    children = np.random.SeedSequence(seed).spawn(d)
+    states = _spawned_states(int(seed), int(d))
     X = np.empty((d, n + m))
     W = np.empty((d, n))
     for start in range(0, d, chunk):
         z = normals[: min(chunk, d - start)]
-        for row, child in zip(z, children[start : start + chunk]):
-            np.random.default_rng(child).standard_normal(out=row)
+        for row, words in zip(z, states[start : start + chunk]):
+            np.random.Generator(np.random.PCG64(_SpawnedState(words))).standard_normal(out=row)
         # (k, n, 1) stacks: matmul runs one gemv per trajectory, which
         # matches ``M @ v`` bit for bit where a gemm across the chunk would not
         x = np.zeros((len(z), n, 1))

@@ -15,7 +15,6 @@ class ErrorReport:
 
     linf_elementwise: float
     op_norm: float
-    frob: float
     normalized_2: float
 
 
@@ -42,7 +41,7 @@ def rst(d: int, n: int, m: int) -> float:
 
 
 def error_norms(theta_hat: np.ndarray, theta_star: np.ndarray) -> ErrorReport:
-    """Max-abs, operator, and Frobenius norms of the estimation error.
+    """Max-abs and operator norms of the estimation error.
 
     ``normalized_2`` divides the operator norm of the error by that of the
     true parameter, which must therefore be nonzero.
@@ -59,6 +58,5 @@ def error_norms(theta_hat: np.ndarray, theta_star: np.ndarray) -> ErrorReport:
     return ErrorReport(
         linf_elementwise=float(np.abs(diff).max()) if diff.size else 0.0,
         op_norm=op,
-        frob=float(np.linalg.norm(diff)),
         normalized_2=op / scale,
     )

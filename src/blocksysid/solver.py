@@ -164,8 +164,10 @@ def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
 def _size_groups(sizes) -> list[tuple[int, np.ndarray, np.ndarray | slice]]:
     """Group contiguous blocks by size: (size, block ids, flat indices).
 
-    The flat indices are a slice when the blocks of one size are adjacent,
-    so that gathering them is a view rather than a copy.
+    The flat indices are a slice when the blocks of one size are adjacent.
+    Indexing a (k, rows, width) stack with that slice gives a view only when
+    the group spans every row of the stack; otherwise ``_block_rows`` returns
+    a copy, which ``_prox_stack`` writes back.
     """
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     by_size: dict[int, list[int]] = {}

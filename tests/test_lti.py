@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
     NORMALS_BUDGET_BYTES,
+    _spawned_states,
     SystemModel,
     TrajectoryBatch,
     design_covariance,
@@ -116,7 +119,38 @@ def test_simulate_rejects_bad_arguments():
     for T, d, name in ((3.0, 5, "T"), (3, 5.0, "d"), (True, 5, "T"), (3, True, "d"), (3, "5", "d")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             simulate_batch(model, T=T, d=d, seed=0)
-    assert simulate_batch(model, T=np.int64(3), d=np.int64(2), seed=0).d == 2
+    assert simulate_batch(model, T=np.int64(3), d=np.int64(2), seed=np.uint64(2**64 - 1)).d == 2
+    # a bool, float, string or negative seed names the field, not numpy's message
+    for seed in (True, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_batch(model, T=3, d=5, seed=seed)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        simulate_batch(model, T=3, d=5, seed=-1)
+    # the spawn key of trajectory i is one 32-bit word; rejected before allocating
+    with pytest.raises(ValueError, match="d must lie in"):
+        simulate_batch(model, T=3, d=2**32, seed=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1),
+        st.integers(2**32 - 2, 2**32 + 1),
+        st.integers(2**32, 2**128 - 1),
+        st.integers(2**128, 2**300),
+    ),
+    d=st.integers(1, 40),
+)
+@example(seed=0, d=1)
+@example(seed=2**32 - 1, d=3)
+@example(seed=2**32, d=3)
+@example(seed=2**128 - 1, d=5)
+@example(seed=2**128, d=5)
+def test_spawned_states_equal_seed_sequence_spawn(seed, d):
+    words = _spawned_states(seed, d)
+    assert words.dtype == np.uint64 and words.shape == (d, 4)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
+        assert np.array_equal(words[i], child.generate_state(4, np.uint64))
 
 
 def _without_disturbance(model):
@@ -146,9 +180,11 @@ def test_simulate_matches_per_trajectory_reference(model, T):
     # bits, across chunk boundaries and for a partial last chunk
     chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
     assert chunk > 2
-    for d in (1, chunk - 1, chunk + 1, 2 * chunk + chunk // 2):
-        batch = simulate_batch(model, T, d, seed=d)
-        X, Y, W = simulate_batch_reference(model, T, d, seed=d)
+    cases = [(d, d) for d in (1, chunk - 1, chunk + 1, 2 * chunk + chunk // 2)]
+    cases.append((chunk + 3, 2**150 + 2**64 + 7))  # a seed of five 32-bit words
+    for d, seed in cases:
+        batch = simulate_batch(model, T, d, seed=seed)
+        X, Y, W = simulate_batch_reference(model, T, d, seed=seed)
         assert np.array_equal(batch.X, X)
         assert np.array_equal(batch.Y, Y)
         assert np.array_equal(batch.W, W)
