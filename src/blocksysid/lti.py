@@ -201,8 +201,12 @@ def _spawned_states(seed: int, d: int) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-class _SpawnedState(np.random.bit_generator.ISeedSequence):
-    """One child's precomputed words, for the ``generate_state(4, np.uint64)`` call of PCG64."""
+class _SpawnedState:
+    """One child's precomputed words, for the ``generate_state(4, np.uint64)`` call of PCG64.
+
+    ``simulate_batch`` registers it as a numpy ``ISeedSequence`` when it runs,
+    not at import, so importing the package does not load ``numpy.random``.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -246,6 +250,7 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m)))
     normals = np.empty((min(chunk, d), T, n + m))
     states = _spawned_states(int(seed), int(d))
+    np.random.bit_generator.ISeedSequence.register(_SpawnedState)
     X = np.empty((d, n + m))
     W = np.empty((d, n))
     for start in range(0, d, chunk):

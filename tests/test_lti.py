@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,16 @@ def test_spawned_states_equal_seed_sequence_spawn(seed, d):
     assert words.dtype == np.uint64 and words.shape == (d, 4)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
         assert np.array_equal(words[i], child.generate_state(4, np.uint64))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds about 6 MB to a fresh process; simulate_batch loads it
+    # when it first draws, so commands that never simulate do not pay for it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, blocksysid; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def _without_disturbance(model):
