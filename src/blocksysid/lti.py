@@ -197,8 +197,8 @@ def _spawned_states(seed: int, d: int) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state[:, k] = value ^ (value >> 16)
-    # uint64 word j is 32-bit words (2j, 2j+1), low word first
-    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+    # uint64 word j is 32-bit words (2j, 2j+1), low word first, as numpy reads them
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 class _SpawnedState:
