@@ -40,7 +40,7 @@ print(f"least squares:     mismatch {mm_ls} (dense estimate), "
       f"max entry error {errs_ls.linf_elementwise:.4f}")
 
 scale = batch.X.std(axis=0)
-standardized = bs.TrajectoryBatch(X=batch.X / scale, Y=batch.Y, W=batch.W, T=T, seed=seed)
+standardized = bs.TrajectoryBatch(X=batch.X / scale, Y=batch.Y, W=batch.W)
 witness = bs.pdw_check(standardized, model.partition, lam, truth)
 print(f"\ndual witness on the oracle support (standardized design): "
       f"success = {witness.success}, margin = {witness.gamma_margin:.3f}")

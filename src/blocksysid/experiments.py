@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("every horizon must be at least 2")
         if any(d < 1 for d in self.d_list):
             raise ValueError("every trajectory count must be positive")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"every entry of seeds must be nonnegative, got {list(self.seeds)}")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator {name!r}")

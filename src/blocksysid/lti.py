@@ -9,8 +9,10 @@ disturbance ``w[T-1]^T``.  Trajectory i draws from the PCG64 stream of
 ``np.random.SeedSequence(seed).spawn(d)[i]``; the seed words of all d
 children come from one vectorized pass of numpy's seed-sequence hash.  The
 simulator steps trajectories in chunks sized from a fixed buffer budget for
-their normals, with batched matrix-vector products that reproduce the
-per-trajectory recurrence bit for bit.
+their normals, in buffers allocated once per call, with batched
+matrix-vector products that reproduce the per-trajectory recurrence bit for
+bit.  A diagonal noise factor, which every generator has, scales the normals
+elementwise, which gives the same bits as its matrix-vector product.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
+def _diagonal_column(fac: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``fac`` as an (r, 1) column when every other entry is zero, else None."""
+    diag = np.diagonal(fac)
+    return diag[:, None] if np.array_equal(fac, np.diag(diag)) else None
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Ground-truth system (A, B), noise covariances, and block partition."""
@@ -107,15 +115,12 @@ class TrajectoryBatch:
     """Last-step regression data of d independent trajectories.
 
     ``Y = X @ theta_star + W`` holds exactly for the generating model.  ``W``
-    is None for batches loaded from external files; ``T`` records the horizon
-    the batch was simulated with, when known.
+    is None for batches loaded from external files.
     """
 
     X: np.ndarray
     Y: np.ndarray
     W: np.ndarray | None = None
-    T: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -227,11 +232,22 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     enters the design row.
 
     Trajectories run in chunks sized so that the chunk's normals fit in
-    ``NORMALS_BUDGET_BYTES``.  Each trajectory fills its T rows of
-    ``[u normals, w normals]`` with one draw, and the recurrence steps the
-    whole chunk with batched matrix-vector products in the association order
-    of ``x = A x + B u + w``, so the result is bit-equal to stepping each
-    trajectory on its own.
+    ``NORMALS_BUDGET_BYTES``; every buffer is allocated once per call and
+    written in place.  Each trajectory fills its T rows of
+    ``[u normals, w normals]`` with one draw.  The noise factors are applied
+    to all T rows at once and ``B u`` to all T - 1 steps at once, since
+    neither depends on x; the loop is then ``A x``, plus ``B u``, plus ``w``,
+    in the association order of ``x = A x + B u + w``.  Each product is one
+    matrix-vector product per trajectory and step, so the result is bit-equal
+    to stepping each trajectory on its own.
+
+    A factor with zero off-diagonal entries is applied as ``diag * z + 0.0``.
+    The matrix-vector product sums one nonzero term with exact zeros, which
+    gives that term unchanged, or +0 where every term is zero; ``diag * z``
+    can give -0 there, and adding +0.0 turns it into +0.  Both factors of
+    every generator are diagonal, because ``eigh`` of ``c * I`` returns the
+    exact identity; a dense factor, as a loaded model can have, keeps the
+    matrix-vector product.
     """
     for name, value in (("T", T), ("d", d), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -243,35 +259,52 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     n, m = model.n, model.m
-    fac_u = _psd_factor(model.sigma_u)
-    fac_w = _psd_factor(model.sigma_w)
     A, B = model.A, model.B
 
-    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m)))
-    normals = np.empty((min(chunk, d), T, n + m))
+    chunk = min(d, max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m))))
+    # (k, ..., 1) stacks: matmul runs one gemv per trajectory and step, which
+    # matches ``M @ v`` bit for bit where a gemm across the chunk would not
+    normals = np.empty((chunk, T, n + m))
+    u = np.empty((chunk, T, m, 1))
+    w = np.empty((chunk, T, n, 1))
+    Bu = np.empty((chunk, T - 1, n, 1))
+    x = np.empty((chunk, n, 1))
+    x_new = np.empty((chunk, n, 1))
+    noise = []
+    for sigma, out, cols in ((model.sigma_u, u, slice(0, m)), (model.sigma_w, w, slice(m, None))):
+        fac = _psd_factor(sigma)
+        noise.append((fac, _diagonal_column(fac), out, cols))
     states = _spawned_states(int(seed), int(d))
     np.random.bit_generator.ISeedSequence.register(_SpawnedState)
     X = np.empty((d, n + m))
     W = np.empty((d, n))
     for start in range(0, d, chunk):
-        z = normals[: min(chunk, d - start)]
-        for row, words in zip(z, states[start : start + chunk]):
+        k = min(chunk, d - start)
+        z = normals[:k]
+        for row, words in zip(z, states[start : start + k]):
             np.random.Generator(np.random.PCG64(_SpawnedState(words))).standard_normal(out=row)
-        # (k, n, 1) stacks: matmul runs one gemv per trajectory, which
-        # matches ``M @ v`` bit for bit where a gemm across the chunk would not
-        x = np.zeros((len(z), n, 1))
+        for fac, diag, out, cols in noise:
+            if diag is None:
+                np.matmul(fac, z[:, :, cols, None], out=out[:k])
+            else:
+                np.multiply(diag, z[:, :, cols, None], out=out[:k])
+                out[:k] += 0.0  # the gemv sums to +0 where diag * z gives -0
+        np.matmul(B, u[:k, : T - 1], out=Bu[:k])
+        xs, xs_new = x[:k], x_new[:k]
+        xs.fill(0.0)
         for t in range(T - 1):
-            u = np.matmul(fac_u, z[:, t, :m, None])
-            w = np.matmul(fac_w, z[:, t, m:, None])
-            x = np.matmul(A, x) + np.matmul(B, u) + w
-        rows = slice(start, start + len(z))
-        X[rows, :n] = x[:, :, 0]
-        X[rows, n:] = np.matmul(fac_u, z[:, T - 1, :m, None])[:, :, 0]
-        W[rows] = np.matmul(fac_w, z[:, T - 1, m:, None])[:, :, 0]
+            np.matmul(A, xs, out=xs_new)
+            xs_new += Bu[:k, t]
+            xs_new += w[:k, t]
+            xs, xs_new = xs_new, xs
+        rows = slice(start, start + k)
+        X[rows, :n] = xs[:, :, 0]
+        X[rows, n:] = u[:k, T - 1, :, 0]
+        W[rows] = w[:k, T - 1, :, 0]
     # Final transition applied at the matrix level so Y - X theta - W is
     # bitwise zero.
     Y = X @ model.stacked() + W
-    return TrajectoryBatch(X=X, Y=Y, W=W, T=T, seed=seed)
+    return TrajectoryBatch(X=X, Y=Y, W=W)
 
 
 def design_covariance(model: SystemModel, T: int) -> CovarianceReport:
@@ -534,4 +567,4 @@ def load_batch_csv(path: str) -> TrajectoryBatch:
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"{path}: batch file has no data rows")
-    return TrajectoryBatch(X=data[:, : n + m], Y=data[:, n + m :], W=None, T=None, seed=None)
+    return TrajectoryBatch(X=data[:, : n + m], Y=data[:, n + m :])

@@ -92,7 +92,7 @@ def test_sweep_deterministic_csv(tmp_path):
     assert header.startswith("generator,gen_params,n,m,T,d,seed,estimator,status,lambda_d")
 
 
-def test_sweep_seed_override(tmp_path):
+def test_sweep_seed_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "generator": {"kind": "synthetic", "n": 8, "w": 1},
@@ -104,6 +104,10 @@ def test_sweep_seed_override(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + one record
     assert ",5," in lines[1]
+    # a negative override is rejected by name before any point runs
+    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "neg.csv", "--seed", -1) == 2
+    assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "neg.csv").exists()
 
 
 def test_cli_error_reporting(tmp_path, capsys):

@@ -53,6 +53,9 @@ def test_config_validation():
         small_config(d_list=[True])
     with pytest.raises(ValueError, match="seeds"):
         small_config(seeds=[0.0])
+    # a negative seed names the field here, not numpy's message at the first point
+    with pytest.raises(ValueError, match="every entry of seeds must be nonnegative"):
+        small_config(seeds=[0, -1])
     # a bare string must not be split into one-letter estimator names
     with pytest.raises(ValueError, match="estimators must be a list"):
         small_config(estimators="block_reg")

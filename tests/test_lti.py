@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
     NORMALS_BUDGET_BYTES,
+    _diagonal_column,
+    _psd_factor,
     _spawned_states,
     SystemModel,
     TrajectoryBatch,
@@ -174,6 +176,45 @@ def _without_disturbance(model):
     )
 
 
+def _dense_noise_model():
+    # full covariances, as a loaded model file can hold: factors that need the gemv
+    rng = np.random.default_rng(12)
+    Lu, Lw = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+    return SystemModel(
+        A=0.4 * rng.standard_normal((3, 3)), B=rng.standard_normal((3, 2)),
+        sigma_u=Lu @ Lu.T + 0.1 * np.eye(2), sigma_w=Lw @ Lw.T,
+        partition=BlockPartition.from_block_sizes((1, 2), (2,)),
+    )
+
+
+def _zero_variance_model():
+    # a diagonal sigma_w with one zero variance: that disturbance is -0 or +0 elementwise
+    rng = np.random.default_rng(13)
+    return SystemModel(
+        A=0.4 * rng.standard_normal((3, 3)), B=rng.standard_normal((3, 2)),
+        sigma_u=np.diag([1.0, 2.0]), sigma_w=np.diag([0.0, 0.5, 1.0]),
+        partition=BlockPartition.scalar(3, 2),
+    )
+
+
+def test_generator_noise_factors_are_diagonal():
+    # every generator's factors take the elementwise path, with the exact
+    # square roots of the variances on the diagonal
+    for model in (
+        gen_synthetic(30, 1, seed=0),
+        gen_mass_spring(7, dt=0.2),
+        gen_multi_agent(4, 1, 2, 3, dt=0.2, seed=1),
+    ):
+        for sigma in (model.sigma_u, model.sigma_w):
+            diag = _diagonal_column(_psd_factor(sigma))
+            assert diag is not None
+            assert np.array_equal(diag[:, 0], np.sqrt(np.diagonal(sigma)))
+    assert _diagonal_column(_psd_factor(_zero_variance_model().sigma_w)) is not None
+    dense = _dense_noise_model()
+    assert _diagonal_column(_psd_factor(dense.sigma_u)) is None
+    assert _diagonal_column(_psd_factor(dense.sigma_w)) is None
+
+
 @pytest.mark.parametrize("T", [2, 6])
 @pytest.mark.parametrize(
     "model",
@@ -186,22 +227,25 @@ def _without_disturbance(model):
             A=0.5 * np.eye(3), B=np.zeros((3, 0)), sigma_u=np.zeros((0, 0)), sigma_w=np.eye(3),
             partition=BlockPartition.from_block_sizes((1, 2), ()),
         ),
+        _dense_noise_model(),
+        _zero_variance_model(),
     ],
-    ids=["synthetic", "mass_spring", "multi_agent", "sigma_w_zero", "no_inputs"],
+    ids=["synthetic", "mass_spring", "multi_agent", "sigma_w_zero", "no_inputs", "dense_noise",
+         "zero_variance"],
 )
 def test_simulate_matches_per_trajectory_reference(model, T):
     # the chunked, batched simulator must give the per-trajectory recurrence's
-    # bits, across chunk boundaries and for a partial last chunk
+    # bits, across chunk boundaries and for a partial last chunk; array_equal
+    # takes -0 for +0, so the signs of zeros are compared too
     chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
     assert chunk > 2
     cases = [(d, d) for d in (1, chunk - 1, chunk + 1, 2 * chunk + chunk // 2)]
     cases.append((chunk + 3, 2**150 + 2**64 + 7))  # a seed of five 32-bit words
     for d, seed in cases:
         batch = simulate_batch(model, T, d, seed=seed)
-        X, Y, W = simulate_batch_reference(model, T, d, seed=seed)
-        assert np.array_equal(batch.X, X)
-        assert np.array_equal(batch.Y, Y)
-        assert np.array_equal(batch.W, W)
+        for got, want in zip((batch.X, batch.Y, batch.W), simulate_batch_reference(model, T, d, seed=seed)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_simulate_covariance_matches_analytic():

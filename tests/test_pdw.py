@@ -10,7 +10,7 @@ from blocksysid.theory import lambda_schedule
 def standardized(batch):
     s = batch.X.std(axis=0)
     s[s == 0] = 1.0
-    return TrajectoryBatch(X=batch.X / s, Y=batch.Y, W=batch.W, T=batch.T, seed=batch.seed)
+    return TrajectoryBatch(X=batch.X / s, Y=batch.Y, W=batch.W)
 
 
 def test_orthogonal_design_witness_margin_near_one():
@@ -106,7 +106,7 @@ def test_witness_reads_only_the_data_and_requires_positive_lambda():
     model = gen_synthetic(6, 1, seed=3)
     batch = simulate_batch(model, 3, 40, seed=3)
     truth = support_pattern(model.stacked(), model.partition, 0.0)
-    stripped = TrajectoryBatch(X=batch.X, Y=batch.Y, W=None, T=batch.T, seed=batch.seed)
+    stripped = TrajectoryBatch(X=batch.X, Y=batch.Y, W=None)
     # the disturbance is not observable, so the witness must not need it
     r1 = pdw_check(stripped, model.partition, 0.1, truth)
     r2 = pdw_check(batch, model.partition, 0.1, truth)

@@ -85,9 +85,7 @@ def test_column_block_separability_bitwise():
     for j in range(part.n_col_blocks):
         # same row blocks, a single column block: the j-th subproblem on its own
         sub_part = BlockPartition(part.row_sizes, (part.col_sizes[j],))
-        sub_batch = TrajectoryBatch(
-            X=batch.X, Y=batch.Y[:, j : j + 1], W=None, T=batch.T, seed=batch.seed
-        )
+        sub_batch = TrajectoryBatch(X=batch.X, Y=batch.Y[:, j : j + 1])
         sub = solve_block_regularized(sub_batch, sub_part, EstimatorConfig(lambda_d=lam))
         assert np.array_equal(sub.theta_hat[:, 0], joint.theta_hat[:, j])
 
@@ -254,7 +252,7 @@ def test_standardized_solve_scale_equivariance():
     )
     X2 = batch.X.copy()
     X2[:, 2] *= 40.0
-    batch2 = TrajectoryBatch(X=X2, Y=batch.Y, W=batch.W, T=batch.T, seed=batch.seed)
+    batch2 = TrajectoryBatch(X=X2, Y=batch.Y, W=batch.W)
     res2 = solve_block_regularized(
         batch2, model.partition, EstimatorConfig(lambda_d=lam, standardize=True)
     )
@@ -267,7 +265,7 @@ def test_non_finite_data_rejected():
     batch = simulate_batch(model, 3, 20, seed=9)
     X = batch.X.copy()
     X[0, 0] = np.nan
-    bad = TrajectoryBatch(X=X, Y=batch.Y, W=batch.W, T=batch.T, seed=batch.seed)
+    bad = TrajectoryBatch(X=X, Y=batch.Y, W=batch.W)
     with pytest.raises(ValueError, match="non-finite"):
         solve_block_regularized(bad, model.partition, EstimatorConfig(lambda_d=0.1))
 
