@@ -237,7 +237,7 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     ``[u normals, w normals]`` with one draw.  The noise factors are applied
     to all T rows at once and ``B u`` to all T - 1 steps at once, since
     neither depends on x; the loop is then ``A x``, plus ``B u``, plus ``w``,
-    in the association order of ``x = A x + B u + w``.  Each product is one
+    in the association order of ``x = A x + B u + w``.  Each matmul runs one
     matrix-vector product per trajectory and step, so the result is bit-equal
     to stepping each trajectory on its own.
 
