@@ -7,21 +7,16 @@ import dataclasses
 import json
 import sys
 
-from .lti import load_batch_csv, load_model, model_to_dict, save_model, simulate_batch
+from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch
 from .experiments import (
+    GENERATOR_PARAMS,
     ExperimentConfig,
     build_model,
     resolve_lambda,
     run_experiment,
     write_records_csv,
 )
-from .solver import (
-    EstimatorConfig,
-    estimate_to_dict,
-    kkt_residual,
-    solve_block_regularized,
-    solve_least_squares,
-)
+from .solver import EstimatorConfig, kkt_residual, solve_block_regularized, solve_least_squares
 from .blocks import support_pattern
 from .theory import check_assumptions
 
@@ -35,31 +30,20 @@ def _emit_json(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _param_help(name: str, text: str) -> str:
+    """Help for a gen flag: the kinds that take the parameter, with their defaults."""
+    uses = [
+        kind + (f" (default {optional[name]})" if name in optional else "")
+        for kind, (required, optional) in GENERATOR_PARAMS.items()
+        if name in required or name in optional
+    ]
+    return f"{text}: {', '.join(uses)}"
+
+
 def _cmd_gen(args) -> int:
-    gen = {"kind": args.generator}
-    if args.generator == "synthetic":
-        if args.n is None or args.w is None:
-            raise SystemExit("gen synthetic needs --n and --w")
-        gen.update(n=args.n, w=args.w)
-    elif args.generator == "mass_spring":
-        if args.masses is None:
-            raise SystemExit("gen mass_spring needs --masses")
-        gen.update(masses=args.masses, dt=args.dt)
-    else:
-        if args.agents is None or args.degree is None:
-            raise SystemExit("gen multi_agent needs --agents and --degree")
-        gen.update(
-            agents=args.agents,
-            degree=args.degree,
-            state_size=args.state_size,
-            input_size=args.input_size,
-            dt=args.dt,
-        )
-    model = build_model(gen, args.seed)
-    if args.out:
-        save_model(model, args.out)
-    else:
-        _emit_json(model_to_dict(model), None)
+    required, optional = GENERATOR_PARAMS[args.generator]
+    gen = {key: getattr(args, key) for key in (*required, *optional) if getattr(args, key) is not None}
+    _emit_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
     return 0
 
 
@@ -74,36 +58,34 @@ def _cmd_solve(args) -> int:
     partition = model.partition
 
     if args.estimator == "least_squares":
-        theta = solve_least_squares(batch)
-        doc = {
-            "theta_hat": theta.tolist(),
-            "support_mask": support_pattern(theta, partition).mask.astype(int).tolist(),
-            "lambda_d": 0.0,
-            "kkt_residual": kkt_residual(theta, batch, partition, 0.0),
-        }
-        _emit_json(doc, args.out)
-        return 0
-
-    if args.lambda_d == "auto":
-        lam = resolve_lambda("schedule", partition, batch.d)
+        theta, lam, converged = solve_least_squares(batch), 0.0, True
+        support, residual = support_pattern(theta, partition), kkt_residual(theta, batch, partition, 0.0)
     else:
-        lam = float(args.lambda_d)
-    result = solve_block_regularized(
-        batch, partition, EstimatorConfig(lambda_d=lam, standardize=args.standardize)
-    )
-    _emit_json(estimate_to_dict(result), args.out)
-    if not result.converged:
-        print(
-            f"warning: solver hit the iteration cap (kkt residual {result.kkt_residual:.3e})",
-            file=sys.stderr,
+        if args.lambda_d == "auto":
+            lam = resolve_lambda("schedule", partition, batch.d)
+        else:
+            lam = float(args.lambda_d)
+        result = solve_block_regularized(
+            batch, partition, EstimatorConfig(lambda_d=lam, standardize=args.standardize)
         )
+        theta, support, residual, converged = (
+            result.theta_hat, result.support, result.kkt_residual, result.converged
+        )
+    doc = {
+        "theta_hat": theta.tolist(),
+        "support_mask": support.mask.astype(int).tolist(),
+        "lambda_d": float(lam),
+        "kkt_residual": float(residual),
+    }
+    _emit_json(doc, args.out)
+    if not converged:
+        print(f"warning: solver hit the iteration cap (kkt residual {residual:.3e})", file=sys.stderr)
     return 0
 
 
 def _cmd_check(args) -> int:
-    model = load_model(args.model)
-    report = check_assumptions(model, args.T)
-    _emit_json(report.as_dict(), args.out)
+    report = check_assumptions(load_model(args.model), args.T)
+    _emit_json(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -128,15 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a benchmark system as a model JSON file")
-    p_gen.add_argument("--generator", required=True, choices=("synthetic", "mass_spring", "multi_agent"))
-    p_gen.add_argument("--n", type=int, help="state dimension (synthetic)")
-    p_gen.add_argument("--w", type=int, help="band width (synthetic)")
-    p_gen.add_argument("--masses", type=int, help="mass count (mass_spring)")
-    p_gen.add_argument("--agents", type=int, help="agent count (multi_agent)")
-    p_gen.add_argument("--degree", type=int, help="neighbors per agent (multi_agent)")
-    p_gen.add_argument("--state-size", type=int, default=5, help="per-agent state block size")
-    p_gen.add_argument("--input-size", type=int, default=5, help="per-agent input block size")
-    p_gen.add_argument("--dt", type=float, default=0.2, help="forward-Euler sampling time")
+    p_gen.add_argument("--generator", required=True, choices=tuple(GENERATOR_PARAMS))
+    # one flag per generator parameter, counts as ints; kinds and defaults come from the table
+    for name, text in (
+        ("n", "state dimension"),
+        ("w", "band width"),
+        ("masses", "mass count"),
+        ("agents", "agent count"),
+        ("degree", "neighbors per agent"),
+        ("state_size", "per-agent state block size"),
+        ("input_size", "per-agent input block size"),
+        ("dt", "forward-Euler sampling time"),
+    ):
+        p_gen.add_argument(
+            "--" + name.replace("_", "-"), type=float if name == "dt" else int, help=_param_help(name, text)
+        )
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
     p_gen.set_defaults(func=_cmd_gen)

@@ -17,42 +17,27 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .blocks import BlockPartition, support_pattern
-from .lti import SystemModel, gen_mass_spring, gen_multi_agent, gen_synthetic, simulate_batch
+from .lti import (
+    SystemModel,
+    _int_value,
+    gen_mass_spring,
+    gen_multi_agent,
+    gen_synthetic,
+    read_json_object,
+    simulate_batch,
+)
 from .metrics import error_norms, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
 from .theory import AssumptionReport, check_assumptions, lambda_schedule
 
-# Parameters of each generator kind, required then optional; all but dt are counts.
+# Parameters of each generator kind: the required names, then the optional
+# names with their defaults.  All but dt are counts.
 GENERATOR_PARAMS = {
-    "synthetic": (("n", "w"), ()),
-    "mass_spring": (("masses",), ("dt",)),
-    "multi_agent": (("agents", "degree"), ("state_size", "input_size", "dt")),
+    "synthetic": (("n", "w"), {}),
+    "mass_spring": (("masses",), {"dt": 0.2}),
+    "multi_agent": (("agents", "degree"), {"state_size": 5, "input_size": 5, "dt": 0.2}),
 }
 ESTIMATOR_NAMES = ("block_reg", "least_squares")
-
-# Fixed CSV schema. Wall time stays out of the file so that reruns with the
-# same seeds are byte-identical; it remains available on the records.
-CSV_COLUMNS = (
-    "generator",
-    "gen_params",
-    "n",
-    "m",
-    "T",
-    "d",
-    "seed",
-    "estimator",
-    "status",
-    "lambda_d",
-    "mismatch",
-    "rme",
-    "rst",
-    "linf",
-    "op_norm",
-    "normalized_2",
-    "kappa",
-    "gamma",
-    "converged",
-)
 
 
 @dataclass(frozen=True)
@@ -102,14 +87,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        return cls.from_dict(doc, source=path)
+        return cls.from_dict(read_json_object(path), source=path)
 
 
 @dataclass(frozen=True)
@@ -135,14 +113,13 @@ class ExperimentRecord:
     kappa: float
     gamma: float
     converged: bool | None
+    # Wall time stays out of the CSV so that reruns with the same seeds are
+    # byte-identical; it remains available on the record.
     wall_time_seconds: float = field(compare=False)
 
 
-def _int_value(name: str, value) -> int:
-    """An integer; floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+# Fixed CSV schema: the record's compared fields, in declaration order.
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.compare)
 
 
 def _int_tuple(name: str, values) -> tuple[int, ...]:
@@ -153,7 +130,10 @@ def _int_tuple(name: str, values) -> tuple[int, ...]:
 
 
 def _generator_params(generator) -> dict:
-    """The parameters of a generator mapping, checked against its kind; counts as ints, dt as a finite number."""
+    """A generator mapping's parameters, checked against its kind, with its defaults filled in.
+
+    Counts come back as ints, and dt as a finite float.
+    """
     if not isinstance(generator, dict) or "kind" not in generator:
         raise ValueError("generator must be a mapping with a 'kind' field")
     kind = generator["kind"]
@@ -173,7 +153,9 @@ def _generator_params(generator) -> dict:
             params[key] = _int_value(name, value)
         elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return params
+        else:
+            params[key] = float(value)
+    return {**optional, **params}
 
 
 def _parse_lambda_mode(mode: str) -> float | None:
@@ -205,18 +187,10 @@ def build_model(generator: dict, seed: int) -> SystemModel:
     params = _generator_params(generator)
     kind = generator["kind"]
     if kind == "synthetic":
-        return gen_synthetic(n=params["n"], w=params["w"], seed=seed)
-    dt = float(params.get("dt", 0.2))
+        return gen_synthetic(**params, seed=seed)
     if kind == "mass_spring":
-        return gen_mass_spring(N=params["masses"], dt=dt)
-    return gen_multi_agent(
-        agents=params["agents"],
-        degree=params["degree"],
-        state_size=params.get("state_size", 5),
-        input_size=params.get("input_size", 5),
-        dt=dt,
-        seed=seed,
-    )
+        return gen_mass_spring(N=params["masses"], dt=params["dt"])
+    return gen_multi_agent(**params, seed=seed)
 
 
 def _run_point(

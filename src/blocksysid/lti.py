@@ -60,6 +60,13 @@ def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
     return sigma
 
 
+def _int_value(name: str, value) -> int:
+    """An integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     """Symmetric factor F with F F^T = sigma; tolerates singular covariances."""
     if sigma.size == 0:
@@ -249,9 +256,7 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     exact identity; a dense factor, as a loaded model can have, keeps the
     matrix-vector product.
     """
-    for name, value in (("T", T), ("d", d), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    T, d, seed = (_int_value(name, value) for name, value in (("T", T), ("d", d), ("seed", seed)))
     if T < 2:
         raise ValueError("T must be at least 2 (the state part of the design degenerates)")
     if not 1 <= d <= _MASK32:
@@ -274,7 +279,7 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     for sigma, out, cols in ((model.sigma_u, u, slice(0, m)), (model.sigma_w, w, slice(m, None))):
         fac = _psd_factor(sigma)
         noise.append((fac, _diagonal_column(fac), out, cols))
-    states = _spawned_states(int(seed), int(d))
+    states = _spawned_states(seed, d)
     np.random.bit_generator.ISeedSequence.register(_SpawnedState)
     X = np.empty((d, n + m))
     W = np.empty((d, n))
@@ -505,10 +510,13 @@ def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
     partition = BlockPartition(doc["row_sizes"], doc["col_sizes"])
     if partition.n != int(doc["n"]) or partition.m != int(doc["m"]):
         raise ValueError(f"{source}: fields n/m disagree with the block sizes")
+    sigma_u = np.asarray(doc["sigma_u"], dtype=float)
+    if sigma_u.shape == (0,):  # a model without inputs writes its 0 x 0 covariance as []
+        sigma_u = sigma_u.reshape(0, 0)
     return SystemModel(
         A=np.asarray(doc["A"], dtype=float),
         B=np.asarray(doc["B"], dtype=float),
-        sigma_u=np.asarray(doc["sigma_u"], dtype=float),
+        sigma_u=sigma_u,
         sigma_w=np.asarray(doc["sigma_w"], dtype=float),
         partition=partition,
     )
@@ -520,7 +528,8 @@ def save_model(model: SystemModel, path: str) -> None:
         fh.write("\n")
 
 
-def load_model(path: str) -> SystemModel:
+def read_json_object(path: str) -> dict:
+    """The JSON object in a file; a syntax error or any other document names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -528,7 +537,11 @@ def load_model(path: str) -> SystemModel:
         raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return model_from_dict(doc, source=path)
+    return doc
+
+
+def load_model(path: str) -> SystemModel:
+    return model_from_dict(read_json_object(path), source=path)
 
 
 def save_batch_csv(batch: TrajectoryBatch, path: str) -> None:

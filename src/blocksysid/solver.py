@@ -500,16 +500,3 @@ def pdw_check(
     dual_norms = [l1[true_support.zero_rows(j + 1), j] for j in range(partition.n_col_blocks)]
     worst = float(l1.max(where=~true_support.mask, initial=0.0))
     return PdwReport(dual_norms=dual_norms, success=bool(worst < 1.0), gamma_margin=1.0 - worst)
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def estimate_to_dict(result: EstimateResult) -> dict:
-    return {
-        "theta_hat": result.theta_hat.tolist(),
-        "support_mask": result.support.mask.astype(int).tolist(),
-        "lambda_d": float(result.lambda_d),
-        "kkt_residual": float(result.kkt_residual),
-    }

@@ -42,17 +42,6 @@ class AssumptionReport:
     alpha_m: float
     satisfied: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "t_min": self.t_min,
-            "alpha_n": self.alpha_n,
-            "alpha_m": self.alpha_m,
-            "satisfied": dict(self.satisfied),
-        }
-
 
 def mutual_incoherence(
     sigma_tilde: np.ndarray, partition: BlockPartition, support: BlockSupport

@@ -1,9 +1,14 @@
+import argparse
 import json
 
 import numpy as np
+import pytest
 
-from blocksysid.cli import main
-from blocksysid.lti import load_model, save_batch_csv, simulate_batch
+from blocksysid.blocks import support_pattern
+from blocksysid.cli import build_parser, main
+from blocksysid.experiments import GENERATOR_PARAMS, build_model
+from blocksysid.lti import load_batch_csv, load_model, model_to_dict, save_batch_csv, simulate_batch
+from blocksysid.solver import EstimatorConfig, solve_block_regularized, solve_least_squares
 
 
 def run_cli(*args):
@@ -27,6 +32,55 @@ def test_gen_other_generators(tmp_path):
     assert run_cli("gen", "--generator", "multi_agent", "--agents", 5, "--degree", 2,
                    "--state-size", 2, "--input-size", 2, "--seed", 3, "--out", p2) == 0
     assert load_model(str(p2)).partition.max_block_size == 4
+
+
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (("--generator", "synthetic", "--n", 8), "generator 'synthetic': missing parameter 'w'"),
+        (("--generator", "mass_spring", "--dt", 0.1), "generator 'mass_spring': missing parameter 'masses'"),
+        (("--generator", "multi_agent", "--agents", 4), "generator 'multi_agent': missing parameter 'degree'"),
+    ],
+)
+def test_gen_names_a_missing_parameter(tmp_path, capsys, args, missing):
+    out = tmp_path / "m.json"
+    assert run_cli("gen", *args, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [("multi_agent", {"agents": 4, "degree": 1}), ("mass_spring", {"masses": 3})],
+)
+def test_gen_fills_defaults_from_the_table(capsys, kind, args):
+    flags = [str(a) for key, value in args.items() for a in (f"--{key}", value)]
+    assert run_cli("gen", "--generator", kind, *flags, "--seed", 3) == 0
+    _, defaults = GENERATOR_PARAMS[kind]
+    expected = model_to_dict(build_model({"kind": kind, **args, **defaults}, seed=3))
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_gen_flags_match_the_generator_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices["gen"]._actions}
+    for name in ("help", "generator", "seed", "out"):
+        del flags[name]
+    params = {name for required, optional in GENERATOR_PARAMS.values() for name in (*required, *optional)}
+    assert set(flags) == params
+    for name, action in flags.items():
+        assert action.default is None, name  # an unset flag leaves the table's default in force
+        assert action.type is (float if name == "dt" else int), name
+    assert tuple(sub.choices["gen"]._option_string_actions["--generator"].choices) == tuple(GENERATOR_PARAMS)
+
+
+def test_check_report_keys_in_order(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "synthetic", "--n", 8, "--w", 1, "--seed", 1, "--out", p)
+    assert run_cli("check", "--model", p, "--T", 3) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["gamma", "lambda_min", "lambda_max", "t_min", "alpha_n", "alpha_m", "satisfied"]
+    assert list(doc["satisfied"]) == ["A1", "A2", "A3"]
 
 
 def test_check_reports_positive_gamma(tmp_path, capsys):
@@ -64,6 +118,32 @@ def test_solve_from_batch_file(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"theta_hat", "support_mask", "lambda_d", "kkt_residual"}
     assert np.asarray(doc["theta_hat"]).shape == (12, 6)
+
+
+@pytest.mark.parametrize("estimator", ["block_reg", "least_squares"])
+def test_solve_document(tmp_path, estimator):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 17, "--out", p)
+    model = load_model(str(p))
+    bpath = tmp_path / "batch.csv"
+    save_batch_csv(simulate_batch(model, 3, 40, seed=17), str(bpath))
+    out = tmp_path / "est.json"
+    assert run_cli("solve", "--model", p, "--batch", bpath, "--estimator", estimator,
+                   "--lambda", 0.2, "--no-standardize", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["theta_hat", "support_mask", "lambda_d", "kkt_residual"]
+    batch = load_batch_csv(str(bpath))
+    if estimator == "block_reg":
+        res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.2))
+        theta, support, lam = res.theta_hat, res.support, 0.2
+        assert 0 < support.mask.sum() < support.mask.size
+    else:
+        theta = solve_least_squares(batch)
+        support, lam = support_pattern(theta, model.partition), 0.0
+    assert np.array_equal(np.asarray(doc["theta_hat"]), theta)
+    assert np.array_equal(np.asarray(doc["support_mask"], dtype=bool), support.mask)
+    assert doc["lambda_d"] == lam
+    assert doc["kkt_residual"] >= 0
 
 
 def test_solve_output_deterministic(tmp_path):

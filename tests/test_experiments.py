@@ -5,7 +5,9 @@ import pytest
 
 from blocksysid.experiments import (
     CSV_COLUMNS,
+    GENERATOR_PARAMS,
     ExperimentConfig,
+    _generator_params,
     build_model,
     records_to_csv,
     resolve_lambda,
@@ -88,6 +90,16 @@ def test_build_model_dispatch():
             build_model({"kind": "mass_spring", "masses": 3, "dt": dt}, seed=0)
 
 
+def test_generator_params_fill_in_the_table_defaults():
+    _, defaults = GENERATOR_PARAMS["multi_agent"]
+    params = _generator_params({"kind": "multi_agent", "agents": 4, "degree": 1, "state_size": 2})
+    assert params == {**defaults, "agents": 4, "degree": 1, "state_size": 2}
+    # an integer sampling time comes back as a float, as the generators take it
+    params = _generator_params({"kind": "mass_spring", "masses": 3, "dt": 1})
+    assert params == {"masses": 3, "dt": 1.0} and type(params["dt"]) is float
+    assert _generator_params({"kind": "synthetic", "n": 8, "w": 1}) == {"n": 8, "w": 1}
+
+
 def test_run_experiment_records():
     config = small_config()
     records = run_experiment(config)
@@ -116,6 +128,11 @@ def test_csv_schema_and_determinism(tmp_path):
     assert text1 == text2
     rows = list(csv.reader(text1.splitlines()))
     assert tuple(rows[0]) == CSV_COLUMNS
+    # the schema is the record's compared fields; wall time stays out
+    assert text1.splitlines()[0] == (
+        "generator,gen_params,n,m,T,d,seed,estimator,status,lambda_d,mismatch,rme,rst,"
+        "linf,op_norm,normalized_2,kappa,gamma,converged"
+    )
     assert all(len(row) == len(CSV_COLUMNS) for row in rows[1:])
     out = tmp_path / "records.csv"
     write_records_csv(run_experiment(config), str(out))

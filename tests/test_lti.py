@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
@@ -366,6 +368,80 @@ def test_model_json_roundtrip(tmp_path):
     assert np.array_equal(loaded.A, model.A)
     assert np.array_equal(loaded.B, model.B)
     assert loaded.partition == model.partition
+
+
+# every finite double, with -0.0 and subnormals of both signs drawn often
+doubles = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, -2.225073858507201e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def block_models(draw):
+    """A model on a random mixed-width partition with dense A, B and covariances."""
+    state = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    inputs = draw(st.lists(st.integers(1, 3), max_size=3))
+    n, m = sum(state), sum(inputs)
+    covs = []
+    for dim in (m, n):
+        factor = draw(arrays(np.float64, (dim, dim), elements=st.floats(-2.0, 2.0)))
+        cov = factor @ factor.T
+        covs.append(0.5 * (cov + cov.T))  # symmetric bit for bit
+    return SystemModel(
+        A=draw(arrays(np.float64, (n, n), elements=doubles)),
+        B=draw(arrays(np.float64, (n, m), elements=doubles)),
+        sigma_u=covs[0],
+        sigma_w=covs[1],
+        partition=BlockPartition.from_block_sizes(state, inputs),
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=block_models())
+@example(  # no inputs: the 0 x 0 sigma_u is written as []
+    model=SystemModel(
+        A=np.array([[-0.0]]),
+        B=np.zeros((1, 0)),
+        sigma_u=np.zeros((0, 0)),
+        sigma_w=np.array([[5e-324]]),
+        partition=BlockPartition.from_block_sizes((1,), ()),
+    )
+)
+def test_model_file_roundtrip_property(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        loaded = load_model(path)
+    for name in ("A", "B", "sigma_u", "sigma_w"):
+        assert _same_bits(getattr(loaded, name), getattr(model, name)), name
+    assert loaded.partition == model.partition
+
+
+@st.composite
+def batch_arrays(draw):
+    d, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return (
+        draw(arrays(np.float64, (d, n + m), elements=doubles)),
+        draw(arrays(np.float64, (d, n), elements=doubles)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(XY=batch_arrays())
+@example(XY=(np.array([[-0.0, 5e-324, -2.225073858507201e-308]]), np.array([[-5e-324, 0.0]])))
+def test_batch_csv_roundtrip_is_bit_exact(XY):
+    X, Y = XY
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "batch.csv")
+        save_batch_csv(TrajectoryBatch(X=X, Y=Y), path)
+        loaded = load_batch_csv(path)
+    assert _same_bits(loaded.X, X)
+    assert _same_bits(loaded.Y, Y)
 
 
 def test_load_model_diagnostics(tmp_path):

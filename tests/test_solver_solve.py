@@ -371,14 +371,3 @@ def test_estimator_config_validation():
         EstimatorConfig(lambda_d=0.1, kkt_tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(lambda_d=0.1, max_iter=0)
-
-
-def test_estimate_file_roundtrip():
-    from blocksysid.solver import estimate_to_dict
-
-    model = tiny_model(17)
-    batch = simulate_batch(model, 3, 40, seed=17)
-    res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.2))
-    doc = estimate_to_dict(res)
-    assert set(doc) == {"theta_hat", "support_mask", "lambda_d", "kkt_residual"}
-    assert np.array_equal(np.asarray(doc["support_mask"], dtype=bool), res.support.mask)
