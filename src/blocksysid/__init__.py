@@ -1,5 +1,7 @@
 """Simulation and block-regularized identification of sparse LTI systems."""
 
+from types import ModuleType as _ModuleType
+
 from .blocks import (
     BlockPartition,
     BlockSupport,
@@ -49,49 +51,10 @@ from .experiments import (
     write_records_csv,
 )
 
-__all__ = [
-    "AssumptionReport",
-    "BlockPartition",
-    "BlockSupport",
-    "CovarianceReport",
-    "ErrorReport",
-    "EstimateResult",
-    "EstimatorConfig",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "LeastSquaresUndefined",
-    "PdwReport",
-    "SystemModel",
-    "TrajectoryBatch",
-    "block_norm_sum",
-    "block_range",
-    "check_assumptions",
-    "design_covariance",
-    "error_norms",
-    "gen_mass_spring",
-    "gen_multi_agent",
-    "gen_synthetic",
-    "kkt_residual",
-    "lambda_schedule",
-    "load_batch_csv",
-    "load_model",
-    "min_block_magnitude",
-    "mismatch_error",
-    "mutual_incoherence",
-    "pdw_check",
-    "project_l1_ball",
-    "prox_linf",
-    "rme",
-    "rst",
-    "run_experiment",
-    "sample_threshold",
-    "save_batch_csv",
-    "save_model",
-    "simulate_batch",
-    "solve_block_regularized",
-    "solve_least_squares",
-    "support_pattern",
-    "write_records_csv",
-]
+# The public names are the functions and classes imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import sys
 
 from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch
 from .experiments import (
+    ESTIMATOR_NAMES,
     GENERATOR_PARAMS,
     ExperimentConfig,
     build_model,
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="regularization weight, or 'auto' for the dimension-based schedule",
     )
-    p_solve.add_argument("--estimator", choices=("block_reg", "least_squares"), default="block_reg")
+    p_solve.add_argument("--estimator", choices=ESTIMATOR_NAMES, default="block_reg")
     p_solve.add_argument(
         "--standardize",
         action=argparse.BooleanOptionalAction,

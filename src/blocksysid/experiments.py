@@ -20,6 +20,7 @@ from .blocks import BlockPartition, support_pattern
 from .lti import (
     SystemModel,
     _int_value,
+    eigen_ratio,
     gen_mass_spring,
     gen_multi_agent,
     gen_synthetic,
@@ -199,10 +200,6 @@ def _run_point(
     partition = model.partition
     theta_star = model.stacked()
     true_support = support_pattern(theta_star, partition, zero_tol=0.0)
-    if assume.satisfied["A2"]:
-        kappa = assume.lambda_max / assume.lambda_min
-    else:
-        kappa = float("inf")
     batch = simulate_batch(model, T, d, seed)
     gen_params = {k: v for k, v in config.generator.items() if k != "kind"}
     base = dict(
@@ -213,7 +210,7 @@ def _run_point(
         T=T,
         d=d,
         seed=seed,
-        kappa=kappa,
+        kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
         gamma=assume.gamma,
     )
 

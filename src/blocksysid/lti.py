@@ -122,7 +122,8 @@ class TrajectoryBatch:
     """Last-step regression data of d independent trajectories.
 
     ``Y = X @ theta_star + W`` holds exactly for the generating model.  ``W``
-    is None for batches loaded from external files.
+    is None for batches loaded from external files.  Every entry is finite;
+    a batch with a NaN or an infinity is rejected when it is built.
     """
 
     X: np.ndarray
@@ -132,15 +133,16 @@ class TrajectoryBatch:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         Y = np.asarray(self.Y, dtype=float)
+        W = None if self.W is None else np.asarray(self.W, dtype=float)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y must be 2-D with one row per trajectory")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        if self.W is not None:
-            W = np.asarray(self.W, dtype=float)
-            if W.shape != Y.shape:
-                raise ValueError("W must match the shape of Y")
-            object.__setattr__(self, "W", W)
+        if W is not None and W.shape != Y.shape:
+            raise ValueError("W must match the shape of Y")
+        for name, arr in (("X", X), ("Y", Y), ("W", W)):
+            object.__setattr__(self, name, arr)
+            if arr is not None and not np.isfinite(arr).all():
+                row = int(np.argmin(np.isfinite(arr).all(axis=1)))
+                raise ValueError(f"non-finite value in {name} row {row}")
 
     @property
     def d(self) -> int:
@@ -152,7 +154,8 @@ class CovarianceReport:
     """Analytic covariance of one design row, with conditioning diagnostics.
 
     ``row_cov`` is block-diagonal: the state part equals
-    ``input_stack @ sigma_u @ input_stack.T + noise_stack @ sigma_w @ noise_stack.T``
+    ``input_stack @ kron(I_{T-1}, sigma_u) @ input_stack.T
+    + noise_stack @ kron(I_{T-1}, sigma_w) @ noise_stack.T``
     and the input part equals ``sigma_u``.
     """
 
@@ -232,7 +235,9 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
 
     Trajectory i draws from ``default_rng(SeedSequence(seed).spawn(d)[i])``,
     so the output is bit-reproducible and does not depend on evaluation
-    order or on d.  ``_spawned_states`` hashes the seed words of all d
+    order.  X and W at d are the first d rows of X and W at a larger d; Y is
+    not, since ``Y = X @ theta_star + W`` is one matrix product whose bits
+    depend on the row count.  ``_spawned_states`` hashes the seed words of all d
     children at once, and numpy's PCG64 seeds itself from them as it would
     from the child.  Within a trajectory the draws are chronological, which
     keeps the stored last-step disturbance independent of everything that
@@ -342,26 +347,27 @@ def design_covariance(model: SystemModel, T: int) -> CovarianceReport:
 
     evals = np.linalg.eigvalsh(row_cov)
     lambda_min, lambda_max = float(evals[0]), float(evals[-1])
-    if lambda_min <= EIG_TOL * max(lambda_max, 0.0):
-        kappa = float("inf")
-    else:
-        kappa = lambda_max / lambda_min
     return CovarianceReport(
         row_cov=row_cov,
         input_stack=input_stack,
         noise_stack=noise_stack,
-        kappa=kappa,
+        kappa=eigen_ratio(lambda_min, lambda_max),
         lambda_min=lambda_min,
         lambda_max=lambda_max,
     )
 
 
+def eigen_ratio(lambda_min: float, lambda_max: float) -> float:
+    """lambda_max / lambda_min, or inf when lambda_min <= EIG_TOL * max(lambda_max, 0)."""
+    if lambda_min <= EIG_TOL * max(lambda_max, 0.0):
+        return float("inf")
+    return lambda_max / lambda_min
+
+
 def condition_number(mat: np.ndarray) -> float:
     """Eigenvalue ratio of a symmetric PSD matrix (inf when singular)."""
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if evals[0] <= EIG_TOL * max(evals[-1], 0.0):
-        return float("inf")
-    return float(evals[-1] / evals[0])
+    return eigen_ratio(float(evals[0]), float(evals[-1]))
 
 
 def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
@@ -580,4 +586,7 @@ def load_batch_csv(path: str) -> TrajectoryBatch:
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"{path}: batch file has no data rows")
-    return TrajectoryBatch(X=data[:, : n + m], Y=data[:, n + m :])
+    try:
+        return TrajectoryBatch(X=data[:, : n + m], Y=data[:, n + m :])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

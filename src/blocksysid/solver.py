@@ -11,8 +11,8 @@ lockstep: a step runs one stacked Gram product for the whole stack, and
 every column's iterates are identical to a solve of that column alone.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
-by the distance of the scaled negative gradient from the subdifferential of
-the block norm.
+by the distance of the negative gradient from lambda_d times the
+subdifferential of the block norm.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_norm_sum, block_row_indices, support_pattern
+from .blocks import BlockPartition, BlockSupport, block_row_indices, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -1e300
@@ -71,11 +71,9 @@ class EstimateResult:
 
     theta_hat: np.ndarray
     support: BlockSupport
-    objective: float
     kkt_residual: float
     iterations: np.ndarray
     converged: bool
-    lambda_d: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,14 +200,15 @@ def _prox_stack(V: np.ndarray, tau: float, groups, out: np.ndarray) -> None:
 
 
 def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarray:
-    """Per-column distance of the scaled negative gradient from the block-norm subdifferential.
+    """Per-column distance of the negative gradient from lam times the block-norm subdifferential.
 
     ``x`` and ``grad`` are (k, rows, width) stacks; ``grad`` is overwritten.
-    Zero blocks contribute their l1 excess over the unit dual ball; nonzero
-    blocks contribute the Euclidean distance to the set of valid subgradients
-    (signed simplex weights on the max-abs entries).  Each column gets the
-    max over its blocks scaled by lam; for lam = 0 it is the plain gradient
-    max-abs.
+    Zero blocks contribute their l1 excess over the dual ball of radius lam;
+    nonzero blocks contribute the Euclidean distance to lam times the set of
+    valid subgradients (signed simplex weights on the max-abs entries).
+    Everything is in gradient units and nothing is divided by lam, so a tiny
+    lam cannot overflow.  Each column gets the max over its blocks; for
+    lam = 0 it is the plain gradient max-abs.
     """
     k = x.shape[0]
     if lam == 0:
@@ -220,23 +219,20 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
         Qm = _block_rows(grad, rows, p)
         nz = np.flatnonzero(Th.any(axis=1))
         Thn = Th[nz]
-        Qn = np.negative(Qm[nz]) / lam
-        # |grad| / lam is |-grad / lam| bit for bit: IEEE division is sign-symmetric
-        np.abs(Qm, out=Qm)
-        Qm /= lam
-        per_row = Qm.sum(axis=1)
-        per_row -= 1.0
+        Qn = np.negative(Qm[nz])
+        per_row = np.abs(Qm, out=Qm).sum(axis=1)
+        per_row -= lam
         np.maximum(per_row, 0.0, out=per_row)
         vmax = np.abs(Thn).max(axis=1)
         on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax)[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
-        # projection onto the probability simplex over the max entries
-        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], 1.0)[:, None], 0.0)
+        # projection onto the simplex of radius lam over the max entries
+        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
         dist2 = (Qn * Qn * ~on_max).sum(axis=1)
         dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
-    return lam * worst
+    return worst
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -339,8 +335,6 @@ def _check_batch(batch: TrajectoryBatch, partition: BlockPartition) -> None:
         )
     if batch.Y.shape[1] != partition.n:
         raise ValueError(f"observation has {batch.Y.shape[1]} columns, partition expects {partition.n}")
-    if not np.isfinite(batch.X).all() or not np.isfinite(batch.Y).all():
-        raise ValueError("non-finite data in the trajectory batch")
 
 
 def solve_block_regularized(
@@ -390,20 +384,12 @@ def solve_block_regularized(
     del G
     if scale is not None:
         theta /= scale[:, None]
-
-    resid_fit = batch.X @ theta
-    resid_fit -= batch.Y
-    objective = 0.5 / d * float(np.vdot(resid_fit, resid_fit)) + config.lambda_d * block_norm_sum(
-        theta, partition
-    )
     return EstimateResult(
         theta_hat=theta,
         support=support_pattern(theta, partition),
-        objective=objective,
         kkt_residual=float(residuals.max()) if residuals.size else 0.0,
         iterations=iterations,
         converged=bool((residuals <= config.kkt_tol).all()),
-        lambda_d=config.lambda_d,
     )
 
 
@@ -416,8 +402,6 @@ def solve_least_squares(batch: TrajectoryBatch) -> np.ndarray:
     d, p = batch.X.shape
     if d < p:
         raise LeastSquaresUndefined(f"least squares undefined: d={d} < n+m={p}")
-    if not np.isfinite(batch.X).all() or not np.isfinite(batch.Y).all():
-        raise ValueError("non-finite data in the trajectory batch")
     theta, _, rank, _ = np.linalg.lstsq(batch.X, batch.Y, rcond=None)
     if rank < p:
         raise LeastSquaresUndefined(f"least squares undefined: design rank {rank} < {p}")

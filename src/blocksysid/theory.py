@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockPartition, BlockSupport, block_abs_max, block_row_indices, support_pattern
-from .lti import EIG_TOL, SystemModel, design_covariance
+from .lti import SystemModel, design_covariance
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def check_assumptions(model: SystemModel, T: int) -> AssumptionReport:
 
     satisfied = {
         "A1": bool(gamma > 0.0),
-        "A2": bool(report.lambda_min > EIG_TOL * max(report.lambda_max, 0.0)),
+        "A2": bool(report.kappa < math.inf),
         "A3": bool(t_min > 0.0),
     }
     return AssumptionReport(

@@ -209,13 +209,12 @@ def prox_stack_reference(V, tau, groups):
 
 
 def kkt_stack_reference(x, grad, lam, groups):
-    """Per-column KKT residual of a stack, from a full negated copy of the gradient."""
+    """Per-column KKT residual of a stack in gradient units, from a full negated copy of the gradient."""
     k = x.shape[0]
     if lam == 0:
         return np.abs(grad).reshape(k, -1).max(axis=1, initial=0.0)
     worst = np.zeros(k)
     Q = np.negative(grad)
-    Q /= lam
     for p, blocks, rows in groups:
         Th = _block_rows_reference(x, rows, p)
         Qm = _block_rows_reference(Q, rows, p)
@@ -223,14 +222,14 @@ def kkt_stack_reference(x, grad, lam, groups):
         zero = vmax == 0.0
         nz = ~zero
         per_row = np.empty(Th.shape[0])
-        per_row[zero] = np.maximum(np.abs(Qm[zero]).sum(axis=1) - 1.0, 0.0)
+        per_row[zero] = np.maximum(np.abs(Qm[zero]).sum(axis=1) - lam, 0.0)
         Thn = Th[nz]
         Qn = Qm[nz]
         on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
-        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], 1.0)[:, None], 0.0)
+        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
         dist2 = (Qn * Qn * ~on_max).sum(axis=1)
         dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
-    return lam * worst
+    return worst

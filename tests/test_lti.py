@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -115,6 +116,25 @@ def test_simulate_determinism_and_substreams():
     assert np.array_equal(b3.W[:20], b1.W)
     b4 = simulate_batch(model, T=3, d=20, seed=43)
     assert not np.array_equal(b4.X, b1.X)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [gen_synthetic(30, 1, seed=0), gen_mass_spring(7, dt=0.2), gen_multi_agent(4, 1, 2, 3, dt=0.2, seed=1)],
+    ids=["synthetic", "mass_spring", "multi_agent"],
+)
+def test_simulate_smaller_batch_is_a_prefix_of_x_and_w(model):
+    # X and W at d are the first d rows at a larger d, also across a chunk
+    # boundary; Y is recomputed from them, not sliced, since the bits of the
+    # final product depend on the row count
+    T = 10
+    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
+    large = simulate_batch(model, T, 2 * chunk + 5, seed=4)
+    for d in (1, 2, 3, 5, chunk + 1):
+        small = simulate_batch(model, T, d, seed=4)
+        assert np.array_equal(small.X, large.X[:d])
+        assert np.array_equal(small.W, large.W[:d])
+        assert np.array_equal(small.Y, large.X[:d] @ model.stacked() + large.W[:d])
 
 
 def test_simulate_rejects_bad_arguments():
@@ -473,3 +493,20 @@ def test_batch_validation():
         TrajectoryBatch(X=np.zeros((3, 2)), Y=np.zeros((4, 1)))
     with pytest.raises(ValueError):
         TrajectoryBatch(X=np.zeros((3, 2)), Y=np.zeros((3, 1)), W=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("name", ["X", "Y", "W"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rejects_non_finite_entries(name, bad):
+    arrays = {"X": np.zeros((4, 2)), "Y": np.zeros((4, 1)), "W": np.zeros((4, 1))}
+    arrays[name][2, 0] = bad
+    arrays[name][3, 0] = bad
+    with pytest.raises(ValueError, match=f"non-finite value in {name} row 2"):
+        TrajectoryBatch(**arrays)
+
+
+def test_load_batch_csv_names_the_file_and_the_non_finite_row(tmp_path):
+    path = tmp_path / "batch.csv"
+    path.write_text("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,nan,3.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite value in X row 1$"):
+        load_batch_csv(str(path))

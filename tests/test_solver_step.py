@@ -27,12 +27,16 @@ def stacks(draw):
     return row_sizes, x, v
 
 
+# The two size groups interleave, so neither one's rows are a slice.
+INTERLEAVED = ([1, 2, 1, 2], np.array([[[1.0], [-1.0], [1.0], [0.0], [0.0], [2.0]]]), np.ones((1, 6, 1)))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=stacks(), lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 8.0)))
-@example(  # the two size groups interleave, so neither one's rows are a slice
-    case=([1, 2, 1, 2], np.array([[[1.0], [-1.0], [1.0], [0.0], [0.0], [2.0]]]), np.ones((1, 6, 1))),
-    lam=0.5,
-)
+@example(case=INTERLEAVED, lam=0.5)
+# lambdas far below 1e-150, where squaring grad / lambda would overflow
+@example(case=INTERLEAVED, lam=5e-324)
+@example(case=INTERLEAVED, lam=1e-200)
 def test_step_kernels_match_allocating_references(case, lam):
     row_sizes, x, v = case
     groups = _size_groups(row_sizes)
