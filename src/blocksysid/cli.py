@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch
@@ -41,6 +42,19 @@ def _param_help(name: str, text: str) -> str:
     return f"{text}: {', '.join(uses)}"
 
 
+def _lambda_arg(text: str) -> str | float:
+    """Type of ``solve --lambda``: 'auto', or a finite, nonnegative number."""
+    if text == "auto":
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a finite, nonnegative number, got {text!r}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     required, optional = GENERATOR_PARAMS[args.generator]
     gen = {key: getattr(args, key) for key in (*required, *optional) if getattr(args, key) is not None}
@@ -62,10 +76,9 @@ def _cmd_solve(args) -> int:
         theta, lam, converged = solve_least_squares(batch), 0.0, True
         support, residual = support_pattern(theta, partition), kkt_residual(theta, batch, partition, 0.0)
     else:
-        if args.lambda_d == "auto":
+        lam = args.lambda_d
+        if lam == "auto":
             lam = resolve_lambda("schedule", partition, batch.d)
-        else:
-            lam = float(args.lambda_d)
         result = solve_block_regularized(
             batch, partition, EstimatorConfig(lambda_d=lam, standardize=args.standardize)
         )
@@ -94,10 +107,10 @@ def _cmd_sweep(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=(args.seed,))
-    records = run_experiment(config)
     out = args.out or config.output_path
     if not out:
-        raise SystemExit("sweep needs --out or an output_path in the config")
+        raise ValueError("sweep needs --out or an output_path in the config")
+    records = run_experiment(config)
     write_records_csv(records, out)
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     return 0
@@ -139,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--lambda",
         dest="lambda_d",
+        type=_lambda_arg,
         default="auto",
         help="regularization weight, or 'auto' for the dimension-based schedule",
     )

@@ -255,43 +255,49 @@ def _lockstep_apg(
     dot, whose batch loops make a one-column solve's BLAS calls per column,
     so each column's iterates are a one-column solve's bit for bit.  A column
     leaves the stack when its residual reaches ``kkt_tol`` or after
-    ``max_iter`` steps.  Returns the final iterates (k, rows, width), the
-    step counts and the residuals.
+    ``max_iter`` steps, and parks its iterate in the tail slot of ``c`` that
+    the compaction frees.  Returns the final iterates (k, rows, width) in
+    column order, a view that keeps the step buffers alive, the step counts
+    and the residuals.
     """
     lam, tol = config.lambda_d, config.kkt_tol
     k = c.shape[0]
-    x_out = np.empty_like(c)
     iterations = np.zeros(k, dtype=int)
     residuals = np.empty(k)
-    live = np.arange(k)
+    slots = np.arange(k)  # the live columns fill the first n slots
     t = np.ones(k)
     dots = np.empty((k, 1, 1))
-    # Fixed buffers reused in place, so steps do not churn the heap; the
-    # live columns fill the first n slots.
-    x, z, gx, gz, x_new, gx_new, v = (np.zeros_like(c) for _ in range(7))
+    # The step buffers are one block reused in place, so steps do not churn
+    # the heap and the block is freed whole; six separate ones split the
+    # heap's free space, and sweep_agents peaked 3 MB higher.
+    x, z, gx, gz, x_new, gx_new = np.zeros((6,) + c.shape)
     n = k
-    resid = _kkt_stack(x, np.subtract(gx, c, out=v), lam, groups)
+    resid = _kkt_stack(x, np.subtract(gx, c, out=gx_new), lam, groups)
     it = 0
     while True:
         done = resid <= tol
         if it == config.max_iter:
             done[:] = True
         if done.any():
-            x_out[live[done]] = x[:n][done]
+            live = slots[:n]
             iterations[live[done]] = it
             residuals[live[done]] = resid[done]
             keep = ~done
-            n = int(keep.sum())
-            if n == 0:
-                return x_out, iterations, residuals
-            for buf in (c, x, z, gx, gz):
-                buf[:n] = buf[: keep.size][keep]
-            live, t = live[keep], t[keep]
+            m = int(keep.sum())
+            slots[:n] = np.concatenate((live[keep], live[done]))
+            c[:m] = c[:n][keep]
+            c[m:n] = x[:n][done]
+            if m == 0:
+                x_new[slots] = c  # column order, in a dead buffer
+                return x_new, iterations, residuals
+            for buf in (x, z, gx, gz):
+                buf[:m] = buf[:n][keep]
+            n, t = m, t[keep]
         it += 1
-        C, X, Z, GX, GZ, XN, GXN, V = (a[:n] for a in (c, x, z, gx, gz, x_new, gx_new, v))
-        np.subtract(GZ, C, out=V)  # gradient at z
-        V /= L
-        _prox_stack(np.subtract(Z, V, out=V), lam / L, groups, out=XN)
+        C, X, Z, GX, GZ, XN, GXN = (a[:n] for a in (c, x, z, gx, gz, x_new, gx_new))
+        GZ -= C  # gradient at z, in gz's buffer
+        GZ /= L
+        _prox_stack(np.subtract(Z, GZ, out=GZ), lam / L, groups, out=XN)
         np.matmul(Gmat, XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
@@ -300,26 +306,29 @@ def _lockstep_apg(
         beta = ((t - 1.0) / t_next)[:, None, None]
         np.multiply(beta, dx, out=X)  # next z, in x's buffer
         X += XN
-        np.multiply(1.0 + beta, GXN, out=V)  # next gz, in v's buffer
-        V -= np.multiply(beta, GX, out=GX)
+        np.multiply(1.0 + beta, GXN, out=GZ)  # next gz, back in gz's buffer
+        GZ -= np.multiply(beta, GX, out=GX)
         np.copyto(X, XN, where=restart[:, None, None])
-        np.copyto(V, GXN, where=restart[:, None, None])
+        np.copyto(GZ, GXN, where=restart[:, None, None])
         t = np.where(restart, 1.0, t_next)
         x, z, x_new = x_new, x, z
-        gx, gz, gx_new, v = gx_new, v, gx, gz
-        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=v[:n]), lam, groups)
+        gx, gx_new = gx_new, gx
+        # the old gx is dead: it is the residual's scratch
+        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=gx_new[:n]), lam, groups)
 
 
-def _stack_cap(rows: int, width: int) -> int:
+def _stack_cap(rows: int, width: int, d: int, n: int) -> int:
     """Most block columns one lockstep stack may hold.
 
-    A step of :func:`_lockstep_apg` keeps 10-15 arrays of the stack's size
-    alive, the input stack included (measured with tracemalloc).  Capping
-    each at 64 KiB bounds that working set near 1 MiB whatever the problem
-    size, which on the benchmark sweeps kept peak resident memory at the
-    column-by-column solver's level.
+    A step of :func:`_lockstep_apg` holds seven stacks, the input included,
+    and with the prox and residual temporaries a solve peaks at about nine
+    stacks' worth.  A stack may take a tenth of the room of a d x rows design
+    and two d x n residuals, which a column-by-column solve held and a
+    standardized solve frees before it builds the stacks, and at least
+    64 KiB, which keeps one-wide columns at 40 per stack on small designs.
     """
-    return max(1, 2**16 // (8 * rows * width))
+    col = 8 * rows * width
+    return max(1, 2**16 // col, 8 * d * (rows + 2 * n) // (10 * col))
 
 
 def _lipschitz(G: np.ndarray) -> float:
@@ -343,8 +352,9 @@ def solve_block_regularized(
     """Solve the block-regularized least-squares problem, block columns in lockstep.
 
     Each block column is an independent subproblem.  Columns of one width
-    are stacked and stepped together by :func:`_lockstep_apg`, at most
-    :func:`_stack_cap` of them at a time, and each column's estimate and
+    are stacked and stepped together by :func:`_lockstep_apg`: the columns
+    of a width split into the fewest stacks of at most :func:`_stack_cap`,
+    their sizes differing by at most one, and each column's estimate and
     step count are bit-identical to those of solving it alone.  When the
     config standardizes, the reported kkt_residual certifies the
     column-scaled problem that was actually solved.
@@ -373,14 +383,15 @@ def solve_block_regularized(
     iterations = np.zeros(partition.n_col_blocks, dtype=int)
     residuals = np.zeros(partition.n_col_blocks)
     for width, blocks, _ in _size_groups(partition.col_sizes):
-        cap = _stack_cap(theta.shape[0], width)
-        for start in range(0, blocks.size, cap):
-            chunk = blocks[start : start + cap]
+        cap = _stack_cap(theta.shape[0], width, d, partition.n)
+        for chunk in np.array_split(blocks, -(-blocks.size // cap)):
             cols = (co[chunk][:, None] + np.arange(width)).ravel()
             x, iterations[chunk], residuals[chunk] = _lockstep_apg(
                 G, _stack(theta, cols, width), L, config, row_groups
             )
             theta[:, cols] = x.transpose(1, 0, 2).reshape(theta.shape[0], -1)
+            # freed now, not under the next stack's or the result's allocations
+            del x
     del G
     if scale is not None:
         theta /= scale[:, None]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksysid.blocks import (
     BlockPartition,
     BlockSupport,
+    block_abs_max,
     block_norm_sum,
     block_range,
     support_pattern,
@@ -107,6 +110,23 @@ def test_block_norm_matches_reference_on_random_partitions():
         assert block_norm_sum(theta, part) == pytest.approx(
             block_norm_reference(theta, part.row_sizes, part.col_sizes)
         )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    state_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    input_sizes=st.lists(st.integers(1, 3), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_block_abs_max_matches_a_block_range_loop(state_sizes, input_sizes, seed):
+    part = BlockPartition.from_block_sizes(state_sizes, input_sizes)
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(part.shape) * (rng.random(part.shape) < 0.5)
+    expected = [
+        [np.abs(theta[block_range(part, i, j)]).max() for j in range(1, part.n_col_blocks + 1)]
+        for i in range(1, part.n_row_blocks + 1)
+    ]
+    assert np.array_equal(block_abs_max(theta, part), expected)
 
 
 def test_support_pattern_examples():

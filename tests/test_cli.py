@@ -197,3 +197,28 @@ def test_cli_error_reporting(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_cli("check", "--model", bad, "--T", 3) == 2
+
+
+def test_sweep_without_an_output_path_fails_before_any_point(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "generator": {"kind": "synthetic", "n": 8, "w": 1},
+        "T_list": [3], "d_list": [20], "seeds": [0],
+    }))
+
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("blocksysid.cli.run_experiment", no_sweep)
+    assert run_cli("sweep", "--config", cfg) == 2
+    assert capsys.readouterr().err == "error: sweep needs --out or an output_path in the config\n"
+
+
+@pytest.mark.parametrize("value", ["foo", "nan", "inf", "-1"])
+def test_solve_names_a_bad_lambda(tmp_path, capsys, value):
+    p = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("solve", "--model", p, "--T", 3, "--d", 20, "--lambda", value)
+    assert exit_info.value.code == 2
+    message = f"argument --lambda: expected 'auto' or a finite, nonnegative number, got '{value}'\n"
+    assert capsys.readouterr().err.endswith(message)

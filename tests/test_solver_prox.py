@@ -126,3 +126,24 @@ def test_prox_rows_match_one_vector_prox(V, tau):
 def test_moreau_identity_exact_property(V, tau):
     for v in V:
         assert np.array_equal(prox_linf(v, tau) + project_l1_ball(v, tau), v)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(V=row_stacks, tau=taus.filter(lambda t: t > 0))
+def test_prox_optimality_property(V, tau):
+    # x = prox(v) iff g = (v - x) / tau is a subgradient of max-abs at x:
+    # ||g||_1 <= 1, and for x != 0, ||g||_1 = 1 with g supported on the
+    # max-abs entries of x and signed like them.  Checked on r = tau * g, so
+    # a subnormal tau does not overflow; rounding in v - x scales with
+    # ||v||_1, and below the normal range with the subnormal spacing.
+    for v in V:
+        x = prox_linf(v, tau)
+        r = v - x
+        tol = 64 * (np.finfo(float).eps * (tau + np.abs(v).sum()) + np.finfo(float).smallest_subnormal)
+        assert np.abs(r).sum() <= tau + tol
+        if not x.any():
+            continue
+        assert abs(np.abs(r).sum() - tau) <= tol
+        on = r != 0
+        assert (np.abs(x[on]) >= np.abs(x).max() - tol).all()
+        assert (r * x >= 0).all()

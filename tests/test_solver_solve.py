@@ -175,6 +175,65 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
         assert resid1[0] <= config.kkt_tol or its1[0] == config.max_iter
 
 
+SCALAR = {"kind": "synthetic", "n": 100, "w": 2}
+AGENTS = {"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}
+
+
+@pytest.mark.parametrize("problem", ["mixed", "agents"])
+def test_stack_split_never_changes_a_solve(monkeypatch, problem):
+    # Stacks of one column, of three and of every column of a width give the
+    # solve of the default split bit for bit.  max_iter stops some columns of
+    # a stack while others converge first, so columns leave out of order.
+    if problem == "mixed":
+        batch, part = mixed_problem(0, (2, 1, 3, 1, 2, 1), (2, 1), d=100)
+        config = EstimatorConfig(lambda_d=0.1, max_iter=24)
+    else:
+        model = build_model(AGENTS, 0)
+        batch, part = simulate_batch(model, 3, 200, seed=0), model.partition
+        lam = resolve_lambda("schedule", part, batch.d)
+        config = EstimatorConfig(lambda_d=lam, max_iter=44, standardize=True)
+    base = solve_block_regularized(batch, part, config)
+    assert (base.iterations < config.max_iter).any() and (base.iterations == config.max_iter).any()
+    for cap in (1, 3, part.n_col_blocks + 1):
+        monkeypatch.setattr(solver, "_stack_cap", lambda *args, cap=cap: cap)
+        res = solve_block_regularized(batch, part, config)
+        assert np.array_equal(res.theta_hat, base.theta_hat)
+        assert np.array_equal(np.signbit(res.theta_hat), np.signbit(base.theta_hat))
+        assert np.array_equal(res.iterations, base.iterations)
+        assert res.kkt_residual == base.kkt_residual
+        assert res.converged == base.converged
+
+
+@pytest.mark.parametrize(
+    "generator, d, sizes",
+    [
+        (SCALAR, 100, [34, 33, 33]),
+        (SCALAR, 200, [34, 33, 33]),
+        (SCALAR, 400, [50, 50]),
+        (AGENTS, 200, [8] * 5),
+        (AGENTS, 400, [14, 13, 13]),
+        (AGENTS, 800, [20, 20]),
+    ],
+)
+def test_benchmark_solves_stack_sizes(monkeypatch, generator, d, sizes):
+    # The block_reg solves of the sweep_scalar and sweep_agents benchmarks:
+    # a stack takes a tenth of the room the dropped design frees, at least
+    # 64 KiB, and each width's columns split into near-equal stacks.
+    part = build_model(generator, 0).partition
+    rng = np.random.default_rng(0)
+    batch = TrajectoryBatch(X=rng.standard_normal((d, part.shape[0])), Y=rng.standard_normal((d, part.n)))
+    seen = []
+
+    def record_stack(Gmat, c, L, cfg, groups):
+        k = c.shape[0]
+        seen.append(k)
+        return np.zeros_like(c), np.zeros(k, dtype=int), np.zeros(k)
+
+    monkeypatch.setattr(solver, "_lockstep_apg", record_stack)
+    solve_block_regularized(batch, part, EstimatorConfig(lambda_d=0.1, standardize=True))
+    assert seen == sizes
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     state_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
