@@ -10,10 +10,16 @@ blocks: state row blocks first, then input row blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 DEFAULT_ZERO_TOL = 1e-8
+
+
+def _offsets(sizes) -> tuple[int, ...]:
+    """Start of each block and the end of the last: (0, s0, s0+s1, ...)."""
+    return tuple(accumulate(sizes, initial=0))
 
 
 @dataclass(frozen=True)
@@ -79,19 +85,11 @@ class BlockPartition:
 
     @property
     def row_offsets(self) -> tuple[int, ...]:
-        out, acc = [0], 0
-        for s in self.row_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return _offsets(self.row_sizes)
 
     @property
     def col_offsets(self) -> tuple[int, ...]:
-        out, acc = [0], 0
-        for s in self.col_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return _offsets(self.col_sizes)
 
     @property
     def max_state_block(self) -> int:

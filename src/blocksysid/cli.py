@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import math
 import sys
 
-from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch
+from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch, write_json
 from .experiments import (
     ESTIMATOR_NAMES,
     GENERATOR_PARAMS,
     ExperimentConfig,
+    _parse_lambda_mode,
     build_model,
     resolve_lambda,
     run_experiment,
@@ -21,15 +20,6 @@ from .experiments import (
 from .solver import EstimatorConfig, kkt_residual, solve_block_regularized, solve_least_squares
 from .blocks import support_pattern
 from .theory import check_assumptions
-
-
-def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _param_help(name: str, text: str) -> str:
@@ -42,23 +32,21 @@ def _param_help(name: str, text: str) -> str:
     return f"{text}: {', '.join(uses)}"
 
 
-def _lambda_arg(text: str) -> str | float:
-    """Type of ``solve --lambda``: 'auto', or a finite, nonnegative number."""
-    if text == "auto":
-        return text
+def _lambda_arg(text: str) -> str:
+    """Type of ``solve --lambda``: the sweep's lambda_mode, 'schedule' for 'auto', else 'fixed:<text>'."""
+    mode = "schedule" if text == "auto" else f"fixed:{text}"
     try:
-        value = float(text)
+        _parse_lambda_mode(mode)
     except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a finite, nonnegative number, got {text!r}")
-    return value
+        message = f"expected 'auto' or a finite, nonnegative number, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    return mode
 
 
 def _cmd_gen(args) -> int:
     required, optional = GENERATOR_PARAMS[args.generator]
     gen = {key: getattr(args, key) for key in (*required, *optional) if getattr(args, key) is not None}
-    _emit_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
+    write_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
     return 0
 
 
@@ -68,17 +56,16 @@ def _cmd_solve(args) -> int:
         batch = load_batch_csv(args.batch)
     else:
         if args.T is None or args.d is None:
-            raise SystemExit("solve needs --batch, or --T and --d to simulate one")
+            raise ValueError("solve needs --batch, or --T and --d to simulate one")
         batch = simulate_batch(model, args.T, args.d, args.seed)
     partition = model.partition
 
     if args.estimator == "least_squares":
         theta, lam, converged = solve_least_squares(batch), 0.0, True
-        support, residual = support_pattern(theta, partition), kkt_residual(theta, batch, partition, 0.0)
+        support = support_pattern(theta, partition, zero_tol=0.0)
+        residual = kkt_residual(theta, batch, partition, 0.0)
     else:
-        lam = args.lambda_d
-        if lam == "auto":
-            lam = resolve_lambda("schedule", partition, batch.d)
+        lam = resolve_lambda(args.lambda_d, partition, batch.d)
         result = solve_block_regularized(
             batch, partition, EstimatorConfig(lambda_d=lam, standardize=args.standardize)
         )
@@ -91,7 +78,7 @@ def _cmd_solve(args) -> int:
         "lambda_d": float(lam),
         "kkt_residual": float(residual),
     }
-    _emit_json(doc, args.out)
+    write_json(doc, args.out)
     if not converged:
         print(f"warning: solver hit the iteration cap (kkt residual {residual:.3e})", file=sys.stderr)
     return 0
@@ -99,7 +86,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     report = check_assumptions(load_model(args.model), args.T)
-    _emit_json(dataclasses.asdict(report), args.out)
+    write_json(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -187,7 +174,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,13 +371,25 @@ def condition_number(mat: np.ndarray) -> float:
     return eigen_ratio(float(evals[0]), float(evals[-1]))
 
 
+def _benchmark_model(A: np.ndarray, B: np.ndarray, partition: BlockPartition) -> SystemModel:
+    """The generators' noise model on (A, B): sigma_u = I, sigma_w = 0.5 I."""
+    return SystemModel(A, B, np.eye(partition.m), 0.5 * np.eye(partition.n), partition)
+
+
+def _forward_euler(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-Euler discretization (I + dt A_c, dt B_c) of continuous dynamics (A_c, B_c)."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
+    return np.eye(A_c.shape[0]) + dt * A_c, dt * B_c
+
+
 def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     """Banded random system with m = n and unit blocks.
 
     A and B carry unit diagonals and +/-0.3 entries (equiprobable signs) on
     the first w upper and lower diagonals; each row of A additionally gets w
     off-band, off-diagonal entries of +/-0.3 at positions drawn without
-    replacement.  sigma_u = I, sigma_w = 0.5 I.
+    replacement.
     """
     if w < 0:
         raise ValueError("band width must be nonnegative")
@@ -398,13 +411,7 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
         if w:
             picked = rng.choice(candidates, size=w, replace=False)
             A[i, picked] = rng.choice((0.3, -0.3), size=w)
-    return SystemModel(
-        A=A,
-        B=B,
-        sigma_u=np.eye(n),
-        sigma_w=0.5 * np.eye(n),
-        partition=BlockPartition.scalar(n, n),
-    )
+    return _benchmark_model(A, B, BlockPartition.scalar(n, n))
 
 
 def gen_mass_spring(N: int, dt: float) -> SystemModel:
@@ -412,12 +419,10 @@ def gen_mass_spring(N: int, dt: float) -> SystemModel:
 
     Continuous dynamics have positions stacked above velocities; the spring
     coupling is tridiagonal with -2 on the diagonal and 1 off it.  n = 2N
-    states, m = N force inputs, sigma_u = I, sigma_w = 0.5 I, unit blocks.
+    states, m = N force inputs, unit blocks.
     """
     if N < 1:
         raise ValueError("need at least one mass")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
     S = -2.0 * np.eye(N)
     idx = np.arange(N - 1)
     S[idx, idx + 1] = 1.0
@@ -427,15 +432,7 @@ def gen_mass_spring(N: int, dt: float) -> SystemModel:
     A_c[N:, :N] = S
     B_c = np.zeros((2 * N, N))
     B_c[N:, :] = np.eye(N)
-    A = np.eye(2 * N) + dt * A_c
-    B = dt * B_c
-    return SystemModel(
-        A=A,
-        B=B,
-        sigma_u=np.eye(N),
-        sigma_w=0.5 * np.eye(2 * N),
-        partition=BlockPartition.scalar(2 * N, N),
-    )
+    return _benchmark_model(*_forward_euler(A_c, B_c, dt), BlockPartition.scalar(2 * N, N))
 
 
 def gen_multi_agent(
@@ -451,7 +448,7 @@ def gen_multi_agent(
     Each agent's continuous dynamics couple to its own block plus ``degree``
     distinct neighbors, sampled uniformly; the same neighbor set populates
     both A and B.  Populated block entries are drawn uniformly from
-    [-0.4, -0.3] union [0.3, 0.4].  sigma_u = I, sigma_w = 0.5 I.
+    [-0.4, -0.3] union [0.3, 0.4].
     """
     if agents < 1:
         raise ValueError("need at least one agent")
@@ -459,8 +456,6 @@ def gen_multi_agent(
         raise ValueError(f"degree must lie in [0, {agents - 1}]")
     if state_size < 1 or input_size < 1:
         raise ValueError("agent block sizes must be positive")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
     rng = np.random.default_rng(seed)
     n = agents * state_size
     m = agents * input_size
@@ -481,15 +476,8 @@ def gen_multi_agent(
             B_c[rows, b * input_size : (b + 1) * input_size] = signed_uniform(
                 (state_size, input_size)
             )
-    A = np.eye(n) + dt * A_c
-    B = dt * B_c
-    return SystemModel(
-        A=A,
-        B=B,
-        sigma_u=np.eye(m),
-        sigma_w=0.5 * np.eye(n),
-        partition=BlockPartition.from_block_sizes((state_size,) * agents, (input_size,) * agents),
-    )
+    partition = BlockPartition.from_block_sizes((state_size,) * agents, (input_size,) * agents)
+    return _benchmark_model(*_forward_euler(A_c, B_c, dt), partition)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +517,17 @@ def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
 
 
 def save_model(model: SystemModel, path: str) -> None:
+    write_json(model_to_dict(model), path)
+
+
+def write_json(doc: dict, path: str | None) -> None:
+    """Write a document as JSON, indented by two spaces with a final newline; stdout when path is empty."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json_object(path: str) -> dict:

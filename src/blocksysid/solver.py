@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_row_indices, support_pattern
+from .blocks import BlockPartition, BlockSupport, _check_grid, _offsets, block_row_indices, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -1e300
@@ -167,7 +167,7 @@ def _size_groups(sizes) -> list[tuple[int, np.ndarray, np.ndarray | slice]]:
     the group spans every row of the stack; otherwise ``_block_rows`` returns
     a copy, which ``_prox_stack`` writes back.
     """
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    offsets = np.asarray(_offsets(sizes))
     by_size: dict[int, list[int]] = {}
     for b, p in enumerate(sizes):
         by_size.setdefault(int(p), []).append(b)
@@ -424,9 +424,7 @@ def kkt_residual(
 ) -> float:
     """Stationarity residual of the block-regularized objective at theta."""
     _check_batch(batch, partition)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != partition.shape:
-        raise ValueError(f"theta shape {theta.shape} does not match partition {partition.shape}")
+    theta = _check_grid(theta, partition)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
     row_groups = _size_groups(partition.row_sizes)
     worst = 0.0

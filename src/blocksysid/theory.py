@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_abs_max, block_row_indices, support_pattern
+from .blocks import BlockPartition, BlockSupport, _offsets, block_abs_max, block_row_indices, support_pattern
 from .lti import SystemModel, design_covariance
 
 
@@ -73,8 +73,8 @@ def mutual_incoherence(
             continue
         idx_on = block_row_indices(partition, on_blocks)
         idx_off = block_row_indices(partition, off_blocks)
-        on_starts = np.concatenate([[0], np.cumsum(sizes[on_blocks])[:-1]])
-        off_starts = np.concatenate([[0], np.cumsum(sizes[off_blocks])[:-1]])
+        on_starts = _offsets(sizes[on_blocks])[:-1]
+        off_starts = _offsets(sizes[off_blocks])[:-1]
         try:
             coeffs = np.linalg.solve(
                 sigma_tilde[np.ix_(idx_on, idx_on)], sigma_tilde[np.ix_(idx_on, idx_off)]

@@ -1,14 +1,28 @@
 import argparse
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blocksysid.blocks import support_pattern
 from blocksysid.cli import build_parser, main
-from blocksysid.experiments import GENERATOR_PARAMS, build_model
-from blocksysid.lti import load_batch_csv, load_model, model_to_dict, save_batch_csv, simulate_batch
+from blocksysid.experiments import GENERATOR_PARAMS, build_model, resolve_lambda
+from blocksysid.lti import (
+    TrajectoryBatch,
+    load_batch_csv,
+    load_model,
+    model_to_dict,
+    save_batch_csv,
+    simulate_batch,
+)
 from blocksysid.solver import EstimatorConfig, solve_block_regularized, solve_least_squares
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -118,6 +132,7 @@ def test_solve_from_batch_file(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"theta_hat", "support_mask", "lambda_d", "kkt_residual"}
     assert np.asarray(doc["theta_hat"]).shape == (12, 6)
+    assert doc["lambda_d"] == resolve_lambda("schedule", model.partition, 40)  # --lambda auto
 
 
 @pytest.mark.parametrize("estimator", ["block_reg", "least_squares"])
@@ -222,3 +237,53 @@ def test_solve_names_a_bad_lambda(tmp_path, capsys, value):
     assert exit_info.value.code == 2
     message = f"argument --lambda: expected 'auto' or a finite, nonnegative number, got '{value}'\n"
     assert capsys.readouterr().err.endswith(message)
+
+
+@pytest.mark.parametrize("flags", [(), ("--T", 3), ("--d", 20)])
+def test_solve_without_a_batch_or_horizon_and_count_is_a_config_error(tmp_path, capsys, flags):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)
+    assert run_cli("solve", "--model", p, *flags) == 2
+    assert capsys.readouterr().err == "error: solve needs --batch, or --T and --d to simulate one\n"
+
+
+def test_solve_least_squares_support_counts_any_nonzero_entry(tmp_path, capsys):
+    # the design is the identity, so the estimate is the observation: one entry of 5e-9
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 1, "--out", p)  # n = 2, m = 1
+    Y = np.zeros((3, 2))
+    Y[2, 1] = 5e-9
+    bpath = tmp_path / "batch.csv"
+    save_batch_csv(TrajectoryBatch(X=np.eye(3), Y=Y), str(bpath))
+    assert run_cli("solve", "--model", p, "--batch", bpath, "--estimator", "least_squares") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["support_mask"] == [[0, 0], [0, 0], [0, 1]]
+
+
+def test_solve_warns_when_the_solver_hits_the_iteration_cap(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 2, "--out", p)
+    monkeypatch.setattr("blocksysid.cli.EstimatorConfig", functools.partial(EstimatorConfig, max_iter=2))
+    out = tmp_path / "est.json"
+    assert run_cli("solve", "--model", p, "--T", 3, "--d", 50, "--out", out) == 0
+    residual = json.loads(out.read_text())["kkt_residual"]
+    assert residual > 1e-7
+    assert capsys.readouterr().err == f"warning: solver hit the iteration cap (kkt residual {residual:.3e})\n"
+
+
+def test_python_m_entry_point(tmp_path):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "blocksysid", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: blocksysid")
+    failed = run("solve", "--model", str(p))
+    assert failed.returncode == 2
+    assert failed.stderr == "error: solve needs --batch, or --T and --d to simulate one\n"

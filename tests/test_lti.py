@@ -510,3 +510,19 @@ def test_load_batch_csv_names_the_file_and_the_non_finite_row(tmp_path):
     path.write_text("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,nan,3.0\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite value in X row 1$"):
         load_batch_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty batch file"),
+        ("x_0,v_0,y_0\n1.0,2.0,3.0\n", "header does not match the x/u/y batch layout"),
+        ("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,2.0\n", "line 3: expected 3 fields, got 2"),
+        ("x_0,u_0,y_0\n", "batch file has no data rows"),
+    ],
+)
+def test_load_batch_csv_names_the_file_and_the_layout_fault(tmp_path, text, message):
+    path = tmp_path / "batch.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_batch_csv(str(path))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -431,6 +432,20 @@ def test_kkt_lambda_zero_is_gradient_norm():
     theta = np.zeros(part.shape)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
     assert kkt_residual(theta, batch, part, 0.0) == pytest.approx(np.abs(grad).max())
+
+
+@pytest.mark.parametrize(
+    "x_cols, y_cols, theta_shape, message",
+    [
+        (2, 2, (3, 2), "design has 2 columns, partition expects 3"),
+        (3, 1, (3, 2), "observation has 1 columns, partition expects 2"),
+        (3, 2, (2, 3), "grid shape (2, 3) does not match partition shape (3, 2)"),
+    ],
+)
+def test_kkt_residual_checks_shapes_against_the_partition(x_cols, y_cols, theta_shape, message):
+    batch = TrajectoryBatch(X=np.ones((4, x_cols)), Y=np.ones((4, y_cols)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kkt_residual(np.zeros(theta_shape), batch, BlockPartition.scalar(2, 1), 0.1)
 
 
 def test_estimator_config_validation():
