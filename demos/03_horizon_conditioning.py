@@ -23,4 +23,4 @@ print("\nthe same growth shows up in how many samples the estimator needs:")
 for T in (3, 5, 7):
     rep = bs.design_covariance(model, T)
     d_min = bs.sample_threshold(rep.kappa, k_max=7, D=1, n_bar=n, m_bar=n, delta=0.05)
-    print(f"  T={T}: suggested d >= {d_min} (c_mult = 1)")
+    print(f"  T={T}: suggested d >= {d_min}")

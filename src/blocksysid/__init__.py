@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 from .blocks import (
     BlockPartition,
     BlockSupport,
-    block_norm_sum,
     block_range,
     support_pattern,
 )

@@ -102,14 +102,9 @@ class BlockPartition:
         return max(self.row_sizes[self.n_state_blocks :])
 
     @property
-    def max_block_side(self) -> int:
-        """Largest row-block size across state and input blocks."""
-        return max(self.max_state_block, self.max_input_block)
-
-    @property
     def max_block_size(self) -> int:
         """Element count of the largest block in the grid."""
-        return self.max_block_side * self.max_state_block
+        return max(self.row_sizes) * self.max_state_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +129,8 @@ class BlockSupport:
     def zero_rows(self, j: int) -> np.ndarray:
         return np.flatnonzero(~self.mask[:, j - 1])
 
-    @property
-    def blocks_per_column(self) -> np.ndarray:
-        """Number of nonzero blocks in each block column."""
-        return self.mask.sum(axis=0)
-
     def count(self) -> int:
         return int(self.mask.sum())
-
-    def equal(self, other: "BlockSupport") -> bool:
-        return np.array_equal(self.mask, other.mask)
 
 
 def block_range(partition: BlockPartition, i: int, j: int) -> tuple[slice, slice]:
@@ -174,11 +161,6 @@ def block_abs_max(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:
     theta = _check_grid(theta, partition)
     row_max = np.maximum.reduceat(np.abs(theta), partition.row_offsets[:-1], axis=0)
     return np.maximum.reduceat(row_max, partition.col_offsets[:-1], axis=1)
-
-
-def block_norm_sum(theta: np.ndarray, partition: BlockPartition) -> float:
-    """Sum over blocks of the per-block max-abs entry (the block norm of the grid)."""
-    return float(block_abs_max(theta, partition).sum())
 
 
 def support_pattern(

@@ -13,12 +13,11 @@ from .experiments import (
     ExperimentConfig,
     _parse_lambda_mode,
     build_model,
-    resolve_lambda,
+    estimate,
     run_experiment,
     write_records_csv,
 )
-from .solver import EstimatorConfig, kkt_residual, solve_block_regularized, solve_least_squares
-from .blocks import support_pattern
+from .solver import kkt_residual
 from .theory import check_assumptions
 
 
@@ -58,20 +57,13 @@ def _cmd_solve(args) -> int:
         if args.T is None or args.d is None:
             raise ValueError("solve needs --batch, or --T and --d to simulate one")
         batch = simulate_batch(model, args.T, args.d, args.seed)
-    partition = model.partition
-
-    if args.estimator == "least_squares":
-        theta, lam, converged = solve_least_squares(batch), 0.0, True
-        support = support_pattern(theta, partition, zero_tol=0.0)
-        residual = kkt_residual(theta, batch, partition, 0.0)
+    theta, support, lam, result = estimate(
+        args.estimator, batch, model.partition, args.lambda_d, args.standardize
+    )
+    if result is None:  # least squares: certified at lambda 0, which the sweep does not pay for
+        lam, residual, converged = 0.0, kkt_residual(theta, batch, model.partition, 0.0), True
     else:
-        lam = resolve_lambda(args.lambda_d, partition, batch.d)
-        result = solve_block_regularized(
-            batch, partition, EstimatorConfig(lambda_d=lam, standardize=args.standardize)
-        )
-        theta, support, residual, converged = (
-            result.theta_hat, result.support, result.kkt_residual, result.converged
-        )
+        residual, converged = result.kkt_residual, result.converged
     doc = {
         "theta_hat": theta.tolist(),
         "support_mask": support.mask.astype(int).tolist(),

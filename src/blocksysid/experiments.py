@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from .blocks import BlockPartition, support_pattern
 from .lti import (
     SystemModel,
+    TrajectoryBatch,
     _int_value,
     eigen_ratio,
     gen_mass_spring,
@@ -194,6 +195,23 @@ def build_model(generator: dict, seed: int) -> SystemModel:
     return gen_multi_agent(**params, seed=seed)
 
 
+def estimate(
+    estimator: str, batch: TrajectoryBatch, partition: BlockPartition, lambda_mode: str, standardize: bool
+):
+    """One estimate of a batch: ``(theta, support, lambda_d, result)``, shared by sweep and solve.
+
+    Least squares gives None for lambda_d and result, marks a block nonzero
+    when any entry is, and raises :class:`LeastSquaresUndefined` when the
+    estimate is not unique.
+    """
+    if estimator == "least_squares":
+        theta = solve_least_squares(batch)
+        return theta, support_pattern(theta, partition, zero_tol=0.0), None, None
+    lam = resolve_lambda(lambda_mode, partition, batch.d)
+    result = solve_block_regularized(batch, partition, EstimatorConfig(lambda_d=lam, standardize=standardize))
+    return result.theta_hat, result.support, lam, result
+
+
 def _run_point(
     config: ExperimentConfig, model: SystemModel, assume: AssumptionReport, T: int, d: int, seed: int
 ) -> list[ExperimentRecord]:
@@ -217,22 +235,15 @@ def _run_point(
     records = []
     for estimator in config.estimators:
         start = time.perf_counter()
-        lam = theta = support = None
-        converged = True
-        if estimator == "block_reg":
-            lam = resolve_lambda(config.lambda_mode, partition, d)
-            result = solve_block_regularized(
-                batch, partition, EstimatorConfig(lambda_d=lam, standardize=config.standardize)
-            )
-            theta, support, converged = result.theta_hat, result.support, result.converged
-        else:
-            try:
-                theta = solve_least_squares(batch)
-                support = support_pattern(theta, partition, zero_tol=0.0)
-            except LeastSquaresUndefined:
-                converged = None
         scores = dict.fromkeys(("mismatch", "rme", "linf", "op_norm", "normalized_2"))
-        if theta is not None:
+        try:
+            theta, support, lam, result = estimate(
+                estimator, batch, partition, config.lambda_mode, config.standardize
+            )
+        except LeastSquaresUndefined:
+            status, lam, converged = "undefined", None, None
+        else:
+            status, converged = "ok", True if result is None else result.converged
             mm = mismatch_error(support, true_support)
             errs = error_norms(theta, theta_star)
             scores.update(
@@ -245,7 +256,7 @@ def _run_point(
         records.append(
             ExperimentRecord(
                 estimator=estimator,
-                status="undefined" if theta is None else "ok",
+                status=status,
                 lambda_d=lam,
                 rst=rst(d, model.n, model.m),
                 converged=converged,

@@ -43,11 +43,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def stack_parameters(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stack (A, B) into the (n+m) x n regression parameter [A B]^T."""
-    return np.hstack([A, B]).T
-
-
 def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (dim, dim):
@@ -115,7 +110,7 @@ class SystemModel:
 
     def stacked(self) -> np.ndarray:
         """True regression parameter [A B]^T."""
-        return stack_parameters(self.A, self.B)
+        return np.hstack([self.A, self.B]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,8 +334,7 @@ def design_covariance(model: SystemModel, T: int) -> CovarianceReport:
     # the stacked-step covariances are block diagonal, so the quadratic forms
     # reduce to sums over the horizon
     state_cov = np.zeros((n, n))
-    for P in powers:
-        PB = P @ model.B
+    for P, PB in zip(powers, np.hsplit(input_stack, len(powers))):
         state_cov += PB @ model.sigma_u @ PB.T + P @ model.sigma_w @ P.T
     row_cov = np.zeros((n + m, n + m))
     row_cov[:n, :n] = 0.5 * (state_cov + state_cov.T)

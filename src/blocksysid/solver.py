@@ -207,8 +207,9 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
     nonzero blocks contribute the Euclidean distance to lam times the set of
     valid subgradients (signed simplex weights on the max-abs entries).
     Everything is in gradient units and nothing is divided by lam, so a tiny
-    lam cannot overflow.  Each column gets the max over its blocks; for
-    lam = 0 it is the plain gradient max-abs.
+    lam cannot overflow; a distance whose squares overflow, as at a huge lam,
+    is measured again scaled by its largest term.  Each column gets the max
+    over its blocks; for lam = 0 it is the plain gradient max-abs.
     """
     k = x.shape[0]
     if lam == 0:
@@ -228,9 +229,15 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
         # projection onto the simplex of radius lam over the max entries
         y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
-        dist2 = (Qn * Qn * ~on_max).sum(axis=1)
-        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
+        with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
+            dist2 = (Qn * Qn * ~on_max).sum(axis=1)
+            dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
+        big = ~np.isfinite(dist2)
+        if big.any():
+            terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
+            top = terms.max(axis=1)
+            per_row[nz[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
     return worst
 

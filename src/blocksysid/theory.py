@@ -118,42 +118,31 @@ def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     return math.sqrt(2.0 * (D * D + D * math.log(total)) / d)
 
 
-def sample_threshold(
-    kappa: float,
-    k_max: int,
-    D: int,
-    n_bar,
-    m_bar,
-    delta: float,
-    c_mult: float = 1.0,
-    squared_k: bool = False,
-) -> int:
-    """Configurable sample-count threshold for reliable support recovery.
+def sample_threshold(kappa: float, k_max: int, D: int, n_bar, m_bar, delta: float) -> int:
+    """Sample-count threshold for reliable support recovery.
 
-    Returns ``ceil(c_mult * kappa^2 * k * (D log(n_bar+m_bar) + D^2 log(1/delta)))``
-    with ``k = k_max`` by default; ``squared_k=True`` selects the
-    ``k_max^2`` variant that additionally controls the operator-norm error.
-    The absolute constant is not derivable and is exposed as ``c_mult``.
+    Returns ``ceil(kappa^2 * k_max * (D log(n_bar+m_bar) + D^2 log(1/delta)))``,
+    the bound with its absolute constant, which is not derivable, set to one.
     """
-    if kappa <= 0 or k_max <= 0 or D <= 0 or c_mult <= 0:
-        raise ValueError("kappa, k_max, D and c_mult must be positive")
+    if kappa <= 0 or k_max <= 0 or D <= 0:
+        raise ValueError("kappa, k_max and D must be positive")
     total = n_bar + m_bar
     if total <= 0:
         raise ValueError("need a positive block count")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    k = k_max * k_max if squared_k else k_max
-    value = c_mult * kappa * kappa * k * (D * math.log(total) + D * D * math.log(1.0 / delta))
+    value = kappa * kappa * k_max * (D * math.log(total) + D * D * math.log(1.0 / delta))
     return int(math.ceil(value))
 
 
 def check_assumptions(model: SystemModel, T: int) -> AssumptionReport:
     """Evaluate the recovery conditions of a model at horizon T."""
     partition = model.partition
+    theta_star = model.stacked()
     report = design_covariance(model, T)
-    support = support_pattern(model.stacked(), partition, zero_tol=0.0)
+    support = support_pattern(theta_star, partition, zero_tol=0.0)
     gamma = mutual_incoherence(report.row_cov, partition, support)
-    t_min = min_block_magnitude(model.stacked(), partition)
+    t_min = min_block_magnitude(theta_star, partition)
 
     total_blocks = partition.n_row_blocks
     log_total = math.log(total_blocks) if total_blocks > 1 else 0.0

@@ -233,3 +233,29 @@ def kkt_stack_reference(x, grad, lam, groups):
         per_row[nz] = np.sqrt(dist2)
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
     return worst
+
+
+def kkt_residual_longdouble(theta, grad, lam, row_sizes, col_sizes):
+    """KKT residual in extended precision, block by block, from the gradient at theta.
+
+    Squares of terms past 1e154 stay finite in np.longdouble, so this pins
+    the residual at a lambda where float64 squares overflow.  The tie set is
+    the solver's, decided in float64.
+    """
+    lam = np.longdouble(lam)
+    ro, co = np.cumsum([0, *row_sizes]), np.cumsum([0, *col_sizes])
+    worst = np.longdouble(0)
+    for j in range(len(col_sizes)):
+        for i in range(len(row_sizes)):
+            th = theta[ro[i] : ro[i + 1], co[j] : co[j + 1]].ravel()
+            q = -grad[ro[i] : ro[i + 1], co[j] : co[j + 1]].ravel().astype(np.longdouble)
+            if not th.any():
+                worst = max(worst, max(np.abs(q).sum() - lam, np.longdouble(0)))
+                continue
+            on_max = np.abs(th) >= (1.0 - TIE_RTOL) * np.abs(th).max()
+            r = np.sort(q[on_max] * np.sign(th[on_max]))[::-1]
+            css = np.cumsum(r)
+            rho = max(1, int(np.count_nonzero(r > (css - lam) / np.arange(1, r.size + 1))))
+            y = np.maximum(r - (css[rho - 1] - lam) / rho, 0)
+            worst = max(worst, np.sqrt((q[~on_max] ** 2).sum() + ((r - y) ** 2).sum()))
+    return worst

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import functools
 import json
 import os
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocksysid.blocks import support_pattern
+from blocksysid.blocks import DEFAULT_ZERO_TOL, support_pattern
 from blocksysid.cli import build_parser, main
-from blocksysid.experiments import GENERATOR_PARAMS, build_model, resolve_lambda
+from blocksysid.experiments import ESTIMATOR_NAMES, GENERATOR_PARAMS, build_model, resolve_lambda
 from blocksysid.lti import (
     TrajectoryBatch,
     load_batch_csv,
@@ -20,6 +21,7 @@ from blocksysid.lti import (
     save_batch_csv,
     simulate_batch,
 )
+from blocksysid.metrics import error_norms, mismatch_error
 from blocksysid.solver import EstimatorConfig, solve_block_regularized, solve_least_squares
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +189,41 @@ def test_sweep_deterministic_csv(tmp_path):
     assert header.startswith("generator,gen_params,n,m,T,d,seed,estimator,status,lambda_d")
 
 
+@pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+def test_solve_and_sweep_agree_on_one_point(tmp_path, capsys, estimator):
+    # one model, horizon and seed; d = 5 is below n+m = 12, where least squares is undefined
+    model_path, cfg, sweep_csv = tmp_path / "m.json", tmp_path / "cfg.json", tmp_path / "r.csv"
+    run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 4, "--out", model_path)
+    cfg.write_text(json.dumps({
+        "generator": {"kind": "synthetic", "n": 6, "w": 1},
+        "T_list": [3], "d_list": [5, 40], "seeds": [4], "estimators": [estimator],
+    }))
+    assert run_cli("sweep", "--config", cfg, "--out", sweep_csv) == 0
+    rows = {int(row["d"]): row for row in csv.DictReader(sweep_csv.read_text().splitlines())}
+    model = load_model(str(model_path))
+    for d, row in rows.items():
+        out = tmp_path / f"est{d}.json"
+        capsys.readouterr()
+        code = run_cli("solve", "--model", model_path, "--T", 3, "--d", d, "--seed", 4,
+                       "--estimator", estimator, "--out", out)
+        if estimator == "least_squares" and d == 5:
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: least squares undefined")
+            assert row["status"] == "undefined"
+            continue
+        assert code == 0 and row["status"] == "ok"
+        doc = json.loads(out.read_text())
+        # the sweep leaves least squares' weight empty; solve writes the 0 it is certified at
+        assert doc["lambda_d"] == (float(row["lambda_d"]) if row["lambda_d"] else 0.0)
+        theta = np.asarray(doc["theta_hat"])
+        zero_tol = 0.0 if estimator == "least_squares" else DEFAULT_ZERO_TOL
+        support = support_pattern(theta, model.partition, zero_tol)
+        assert np.array_equal(support.mask, np.asarray(doc["support_mask"], dtype=bool))
+        truth = support_pattern(model.stacked(), model.partition, 0.0)
+        assert mismatch_error(support, truth) == int(row["mismatch"])
+        assert error_norms(theta, model.stacked()).linf_elementwise == float(row["linf"])
+
+
 def test_sweep_seed_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -263,7 +300,7 @@ def test_solve_least_squares_support_counts_any_nonzero_entry(tmp_path, capsys):
 def test_solve_warns_when_the_solver_hits_the_iteration_cap(tmp_path, capsys, monkeypatch):
     p = tmp_path / "m.json"
     run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 2, "--out", p)
-    monkeypatch.setattr("blocksysid.cli.EstimatorConfig", functools.partial(EstimatorConfig, max_iter=2))
+    monkeypatch.setattr("blocksysid.experiments.EstimatorConfig", functools.partial(EstimatorConfig, max_iter=2))
     out = tmp_path / "est.json"
     assert run_cli("solve", "--model", p, "--T", 3, "--d", 50, "--out", out) == 0
     residual = json.loads(out.read_text())["kkt_residual"]

@@ -1,12 +1,19 @@
 import csv
+import io
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksysid.experiments import (
     CSV_COLUMNS,
+    ESTIMATOR_NAMES,
     GENERATOR_PARAMS,
     ExperimentConfig,
+    ExperimentRecord,
     _generator_params,
     build_model,
     records_to_csv,
@@ -158,3 +165,62 @@ def test_horizon_sweep_records_growing_kappa():
     kappas = [r.kappa for r in records]
     assert kappas == sorted(kappas)
     assert kappas[0] < kappas[-1]
+
+
+# Every float a record can hold, NaN aside: infinities, signed zeros and subnormals included.
+any_float = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def records(draw):
+    """An ExperimentRecord with every CSV field drawn, None wherever the schema allows it."""
+    kind = draw(st.sampled_from(sorted(GENERATOR_PARAMS)))
+    required, optional = GENERATOR_PARAMS[kind]
+    gen_params = {
+        name: draw(st.floats(allow_nan=False, allow_infinity=False) if name == "dt" else st.integers())
+        for name in (*required, *optional)
+    }
+    values = {"generator": kind, "gen_params": gen_params, "wall_time_seconds": 0.0}
+    for f in fields(ExperimentRecord):
+        if f.name in values:
+            continue
+        kind_of = f.type.split(" | ")[0]
+        value = {
+            "int": st.integers(),
+            "float": any_float,
+            "bool": st.booleans(),
+            "str": st.sampled_from(ESTIMATOR_NAMES if f.name == "estimator" else ("ok", "undefined")),
+        }[kind_of]
+        values[f.name] = draw(st.none() | value if f.type.endswith("| None") else value)
+    return ExperimentRecord(**values)
+
+
+def decode(text, annotation):
+    """A CSV field back to the value of a field with the given annotation."""
+    if annotation.endswith("| None") and text == "":
+        return None
+    kind_of = annotation.split(" | ")[0]
+    if kind_of == "bool":
+        return {"true": True, "false": False}[text]
+    return {"int": int, "float": float, "dict": json.loads, "str": str}[kind_of](text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(recs=st.lists(records(), max_size=4))
+def test_sweep_csv_round_trips_every_field(recs):
+    rows = list(csv.DictReader(io.StringIO(records_to_csv(recs))))
+    assert len(rows) == len(recs)
+    annotations = {f.name: f.type for f in fields(ExperimentRecord)}
+    for rec, row in zip(recs, rows):
+        assert tuple(row) == CSV_COLUMNS
+        for name, text in row.items():
+            value, back = getattr(rec, name), decode(text, annotations[name])
+            assert type(back) is type(value), name
+            if isinstance(value, dict):
+                assert back == value
+                assert text == json.dumps(value, sort_keys=True, separators=(",", ":"))
+            else:
+                assert repr(back) == repr(value), name  # floats bit for bit, -0.0 included

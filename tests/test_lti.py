@@ -29,7 +29,6 @@ from blocksysid.lti import (
     save_batch_csv,
     save_model,
     simulate_batch,
-    stack_parameters,
 )
 
 from oracles import simulate_batch_reference
@@ -49,7 +48,8 @@ def test_stack_roundtrip():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 3))
     B = rng.standard_normal((3, 2))
-    theta = stack_parameters(A, B)
+    model = SystemModel(A=A, B=B, sigma_u=np.eye(2), sigma_w=np.eye(3), partition=BlockPartition.scalar(3, 2))
+    theta = model.stacked()
     assert theta.shape == (5, 3)
     assert np.array_equal(theta, np.hstack([A, B]).T)
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksysid import solver
-from blocksysid.blocks import BlockPartition, support_pattern
+from blocksysid.blocks import BlockPartition, block_abs_max, support_pattern
 from blocksysid.experiments import build_model, resolve_lambda
 from blocksysid.lti import SystemModel, TrajectoryBatch, gen_synthetic, simulate_batch
 from blocksysid.solver import (
@@ -19,7 +20,7 @@ from blocksysid.solver import (
 )
 from blocksysid.theory import lambda_schedule
 
-from oracles import least_squares_normal_equations, subgradient_minimize
+from oracles import kkt_residual_longdouble, least_squares_normal_equations, subgradient_minimize
 
 
 def tiny_model(seed, n=3, density=0.6):
@@ -100,9 +101,7 @@ def test_objective_dominates_baselines():
 
     def objective(th):
         r = batch.Y - batch.X @ th
-        from blocksysid.blocks import block_norm_sum
-
-        return 0.5 / batch.d * float(np.vdot(r, r)) + lam * block_norm_sum(th, part)
+        return 0.5 / batch.d * float(np.vdot(r, r)) + lam * float(block_abs_max(th, part).sum())
 
     assert objective(res.theta_hat) <= objective(np.zeros(part.shape)) + 1e-10
     assert objective(res.theta_hat) <= objective(solve_least_squares(batch)) + 1e-10
@@ -315,7 +314,7 @@ def test_standardized_solve_scale_equivariance():
     res2 = solve_block_regularized(
         batch2, model.partition, EstimatorConfig(lambda_d=lam, standardize=True)
     )
-    assert res.support.equal(res2.support)
+    assert np.array_equal(res.support.mask, res2.support.mask)
     np.testing.assert_allclose(res2.theta_hat[2] * 40.0, res.theta_hat[2], rtol=1e-6, atol=1e-10)
 
 
@@ -432,6 +431,29 @@ def test_kkt_lambda_zero_is_gradient_norm():
     theta = np.zeros(part.shape)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
     assert kkt_residual(theta, batch, part, 0.0) == pytest.approx(np.abs(grad).max())
+
+
+@pytest.mark.parametrize(
+    "model",
+    [gen_synthetic(6, 1, seed=0), build_model({"kind": "multi_agent", "agents": 4, "degree": 1}, seed=1)],
+    ids=["synthetic", "multi_agent"],
+)
+@pytest.mark.parametrize("tied", [False, True])
+def test_kkt_residual_at_a_huge_lambda_is_finite_and_exact(model, tied):
+    # at lambda = 1e300 a nonzero block's distance is about lambda, whose
+    # square overflows float64; the residual must still be finite and exact
+    part = model.partition
+    batch = simulate_batch(model, 3, 40, seed=0)
+    theta = model.stacked()
+    if tied:  # every nonzero entry of a block on its max-abs
+        theta = np.sign(theta)
+    grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = kkt_residual(theta, batch, part, 1e300)
+    expected = kkt_residual_longdouble(theta, grad, 1e300, part.row_sizes, part.col_sizes)
+    assert np.isfinite(value)
+    assert value == pytest.approx(float(expected), rel=1e-12)
 
 
 @pytest.mark.parametrize(

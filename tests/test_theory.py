@@ -149,12 +149,8 @@ def test_sample_threshold_examples():
     assert sample_threshold(1.0, 1, 1, half_e, half_e, delta=1 / math.e) == 2
     base = 1.0 * 1 * (2 * math.log(40) + 4 * math.log(10))
     assert sample_threshold(2.0, 1, 2, 20, 20, delta=0.1) == math.ceil(4 * base)
-    # the squared variant for operator-norm control
     inner = 2 * math.log(40) + 4 * math.log(10)
-    a = sample_threshold(1.0, 3, 2, 20, 20, delta=0.1)
-    b = sample_threshold(1.0, 3, 2, 20, 20, delta=0.1, squared_k=True)
-    assert a == math.ceil(3 * inner)
-    assert b == math.ceil(9 * inner)
+    assert sample_threshold(1.0, 3, 2, 20, 20, delta=0.1) == math.ceil(3 * inner)
 
 
 def test_sample_threshold_validation():
