@@ -145,8 +145,12 @@ def block_range(partition: BlockPartition, i: int, j: int) -> tuple[slice, slice
 
 def block_row_indices(partition: BlockPartition, blocks) -> np.ndarray:
     """Scalar row indices of the given (0-based) row blocks, in the given order."""
-    ro = partition.row_offsets
-    return np.concatenate([np.arange(ro[b], ro[b + 1]) for b in blocks] or [np.empty(0, dtype=int)])
+    ro = np.asarray(partition.row_offsets)
+    blocks = np.asarray(blocks, dtype=int)
+    sizes = ro[blocks + 1] - ro[blocks]
+    # each block's run is its start plus the run's position in the output
+    starts_out = np.cumsum(sizes) - sizes
+    return np.repeat(ro[blocks] - starts_out, sizes) + np.arange(sizes.sum())
 
 
 def _check_grid(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:

@@ -12,7 +12,9 @@ every column's iterates are identical to a solve of that column alone.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
-subdifferential of the block norm.
+subdifferential of the block norm.  Rows of one entry, unit blocks in a
+one-wide column, skip the projection's sort: the prox and the residual are
+taken in closed form, with the sort path's operations and so its bits.
 """
 
 from __future__ import annotations
@@ -145,6 +147,15 @@ def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
         np.copyto(out, V)
         return out
     a = np.abs(V, out=out)
+    if V.shape[1] == 1:
+        # One-entry rows: the sort path's shift is |v| - tau, and these are its ops.
+        inside = a <= tau
+        shrink = np.subtract(a, tau)
+        np.maximum(np.subtract(a, shrink, out=shrink), 0.0, out=shrink)
+        shrink *= np.sign(V, out=out)
+        np.subtract(V, shrink, out=out)
+        np.copyto(out, 0.0, where=inside)
+        return out
     outside = np.flatnonzero(a.sum(axis=1) > tau)
     ao = a[outside]
     out.fill(0.0)
@@ -218,6 +229,10 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
     for p, blocks, rows in groups:
         Th = _block_rows(x, rows, p)
         Qm = _block_rows(grad, rows, p)
+        if Th.shape[1] == 1:
+            per_row = _kkt_entries(Th[:, 0], Qm[:, 0], lam)
+            np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
+            continue
         nz = np.flatnonzero(Th.any(axis=1))
         Thn = Th[nz]
         Qn = np.negative(Qm[nz])
@@ -240,6 +255,29 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
             per_row[nz[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
     return worst
+
+
+def _kkt_entries(th: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`_kkt_stack`'s distances for one-entry rows by the sort path's ops, g as scratch.
+
+    A zero entry gives max(|g| - lam, 0), a nonzero one sqrt((r - y)^2) with
+    r = -g sign(th) and y = max(r - (r - lam), 0), or |r - y| where the square
+    overflows.
+    """
+    per_row = np.abs(g)
+    per_row -= lam
+    np.maximum(per_row, 0.0, out=per_row)
+    sq = np.sign(th)
+    np.negative(np.multiply(g, sq, out=g), out=g)  # r
+    np.subtract(g, np.subtract(g, lam, out=sq), out=sq)
+    np.maximum(sq, 0.0, out=sq)  # y
+    np.subtract(g, sq, out=g)  # r - y
+    with np.errstate(over="ignore"):
+        np.square(g, out=sq)
+    np.sqrt(sq, out=sq)
+    np.abs(g, out=sq, where=np.isinf(sq))
+    np.copyto(per_row, sq, where=th != 0.0)
+    return per_row
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -315,8 +353,9 @@ def _lockstep_apg(
         X += XN
         np.multiply(1.0 + beta, GXN, out=GZ)  # next gz, back in gz's buffer
         GZ -= np.multiply(beta, GX, out=GX)
-        np.copyto(X, XN, where=restart[:, None, None])
-        np.copyto(GZ, GXN, where=restart[:, None, None])
+        if restart.any():
+            np.copyto(X, XN, where=restart[:, None, None])
+            np.copyto(GZ, GXN, where=restart[:, None, None])
         t = np.where(restart, 1.0, t_next)
         x, z, x_new = x_new, x, z
         gx, gx_new = gx_new, gx

@@ -66,6 +66,12 @@ def block_norm_reference(theta, row_sizes, col_sizes):
     return total
 
 
+def block_row_indices_reference(row_offsets, blocks):
+    """Scalar row indices of the given row blocks, one range per block, concatenated."""
+    ranges = [np.arange(row_offsets[b], row_offsets[b + 1]) for b in blocks]
+    return np.concatenate(ranges or [np.empty(0, dtype=int)])
+
+
 def block_subgradient(theta, row_sizes, col_sizes):
     """One valid subgradient of the block norm: uniform weight over max entries."""
     theta = np.asarray(theta, dtype=float)
@@ -209,7 +215,10 @@ def prox_stack_reference(V, tau, groups):
 
 
 def kkt_stack_reference(x, grad, lam, groups):
-    """Per-column KKT residual of a stack in gradient units, from a full negated copy of the gradient."""
+    """Per-column KKT residual of a stack in gradient units, from a full negated copy of the gradient.
+
+    A row whose squares overflow is measured again scaled by its largest term.
+    """
     k = x.shape[0]
     if lam == 0:
         return np.abs(grad).reshape(k, -1).max(axis=1, initial=0.0)
@@ -228,9 +237,14 @@ def kkt_stack_reference(x, grad, lam, groups):
         on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
         y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
-        dist2 = (Qn * Qn * ~on_max).sum(axis=1)
-        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are measured again
+            dist2 = (Qn * Qn * ~on_max).sum(axis=1)
+            dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
+        big = ~np.isfinite(dist2)
+        terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
+        top = terms.max(axis=1, initial=0.0)
+        per_row[np.flatnonzero(nz)[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
         np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
     return worst
 

@@ -234,6 +234,26 @@ def test_benchmark_solves_stack_sizes(monkeypatch, generator, d, sizes):
     assert seen == sizes
 
 
+@pytest.mark.parametrize("generator, d, sorts", [(SCALAR, 400, False), (AGENTS, 200, True)])
+def test_only_wide_block_rows_take_the_sort_path(monkeypatch, generator, d, sorts):
+    # Unit blocks step in closed form, so the sweep_scalar solve sorts no
+    # row; the multi-agent solve's 5x5 blocks do.
+    model = build_model(generator, 0)
+    batch = simulate_batch(model, 3, d, seed=0)
+    lam = resolve_lambda("schedule", model.partition, d)
+    thresholds = solver._l1_thresholds
+    calls = []
+
+    def counting(a_sorted_desc, radius):
+        calls.append(a_sorted_desc.shape[0])
+        return thresholds(a_sorted_desc, radius)
+
+    monkeypatch.setattr(solver, "_l1_thresholds", counting)
+    res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=lam, standardize=True))
+    assert res.converged
+    assert (len(calls) > 0) == sorts
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     state_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
@@ -259,13 +279,14 @@ def test_kkt_residual_certifies_mixed_partitions(state_sizes, input_sizes, d, la
         ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 800),
         ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 200),
         ({"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}, 400),
+        (SCALAR, 200),
     ],
 )
 def test_solve_peak_memory_within_column_by_column_budget(generator, d):
-    # The largest point of each benchmark sweep and the two smaller
-    # multi-agent ones.  Solving one column at a time held the standardized design (d x p), the Gram matrix (p x p),
-    # theta (p x n) and two d x n residual arrays at once; the stacks must
-    # fit in that.
+    # Every benchmark point but sweep_scalar's d=100, which peaks above this
+    # budget (0.95 MiB of 0.76).  Solving one column at a time held the
+    # standardized design (d x p), the Gram matrix (p x p), theta (p x n)
+    # and two d x n residual arrays at once; the stacks must fit in that.
     model = build_model(generator, seed=0)
     batch = simulate_batch(model, 3, d, seed=0)
     part = model.partition

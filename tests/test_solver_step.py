@@ -31,12 +31,28 @@ def stacks(draw):
 INTERLEAVED = ([1, 2, 1, 2], np.array([[[1.0], [-1.0], [1.0], [0.0], [0.0], [2.0]]]), np.ones((1, 6, 1)))
 
 
+# One-entry rows only (unit row blocks, width 1), which take the closed form:
+# zero and nonzero entries against zero gradients, gradients of both signs
+# past 1e154, where the squares overflow, and ones near 1e-200, where they
+# underflow; one column of 10 rows, and two of 5, the second all small.
+_X1 = np.array([1e200, -1e200, 1e200, -1e200, 0.0, 1e200, -0.0, 1e200, -1e200, -0.0])
+_V1 = np.array([1e200, 1e200, -1e200, -1e200, -1e200, 0.0, -0.0, -3e-200, 3e-200, 1e-200])
+ONE_ENTRY = ([1] * 10, _X1.reshape(1, 10, 1), _V1.reshape(1, 10, 1))
+ONE_ENTRY_TWO_COLUMNS = ([1] * 5, _X1.reshape(2, 5, 1), _V1.reshape(2, 5, 1))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=stacks(), lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 8.0)))
 @example(case=INTERLEAVED, lam=0.5)
 # lambdas far below 1e-150, where squaring grad / lambda would overflow
 @example(case=INTERLEAVED, lam=5e-324)
 @example(case=INTERLEAVED, lam=1e-200)
+@example(case=ONE_ENTRY, lam=5e-324)
+@example(case=ONE_ENTRY, lam=1e-200)
+@example(case=ONE_ENTRY, lam=1e300)
+@example(case=ONE_ENTRY_TWO_COLUMNS, lam=5e-324)
+@example(case=ONE_ENTRY_TWO_COLUMNS, lam=1e-200)
+@example(case=ONE_ENTRY_TWO_COLUMNS, lam=1e300)
 def test_step_kernels_match_allocating_references(case, lam):
     row_sizes, x, v = case
     groups = _size_groups(row_sizes)
@@ -44,7 +60,9 @@ def test_step_kernels_match_allocating_references(case, lam):
     assert np.array_equal(_kkt_stack(x, grad, lam, groups), kkt_stack_reference(x, v, lam, groups))
     out = np.full_like(v, np.nan)
     _prox_stack(v, lam, groups, out)
-    assert np.array_equal(out, prox_stack_reference(v, lam, groups))
+    want = prox_stack_reference(v, lam, groups)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
