@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ValueError("T_list, d_list, seeds and estimators must be nonempty")
         if any(t < 2 for t in self.T_list):
             raise ValueError("every horizon must be at least 2")
-        if any(d < 1 for d in self.d_list):
-            raise ValueError("every trajectory count must be positive")
+        if any(not 1 <= d <= 2**32 - 1 for d in self.d_list):
+            raise ValueError(f"every entry of d_list must lie in [1, 2**32 - 1], got {list(self.d_list)}")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"every entry of seeds must be nonnegative, got {list(self.seeds)}")
         for name in self.estimators:

@@ -8,11 +8,11 @@ contributes only its final transition to the regression data: the design row
 disturbance ``w[T-1]^T``.  Trajectory i draws from the PCG64 stream of
 ``np.random.SeedSequence(seed).spawn(d)[i]``; the seed words of all d
 children come from one vectorized pass of numpy's seed-sequence hash.  The
-simulator steps trajectories in chunks sized from a fixed buffer budget for
-their normals, in buffers allocated once per call, with batched
+simulator steps trajectories in chunks sized from one scratch budget for
+all of a chunk's buffers, allocated once per call, with batched
 matrix-vector products that reproduce the per-trajectory recurrence bit for
 bit.  A diagonal noise factor, which every generator has, scales the normals
-elementwise, which gives the same bits as its matrix-vector product.
+in place, which gives the same bits as its matrix-vector product.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .blocks import BlockPartition
 
 SYMMETRY_TOL = 1e-12
 EIG_TOL = 1e-10
-# Bytes of standard normals that simulate_batch holds at once; it sets the
-# chunk of trajectories stepped together and so the simulator's peak memory.
-NORMALS_BUDGET_BYTES = 64 << 10
+# Bytes of scratch arrays that simulate_batch holds at once, a chunk's
+# normals and step vectors together; it sets the chunk of trajectories
+# stepped together and so the simulator's memory beyond its outputs.
+SCRATCH_BUDGET_BYTES = 256 << 10
 
 # numpy's SeedSequence: the seed_seq hash of O'Neill, "PCG: a family of
 # simple fast space-efficient statistically good algorithms for random number
@@ -63,18 +64,14 @@ def _int_value(name: str, value) -> int:
     return int(value)
 
 
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric factor F with F F^T = sigma; tolerates singular covariances."""
+def _noise_factor(sigma: np.ndarray) -> np.ndarray:
+    """Symmetric F with F F^T = sigma, singular sigma allowed; its 1-D diagonal when F is diagonal."""
     if sigma.size == 0:
-        return sigma.copy()
+        return np.zeros(0)
     evals, vecs = np.linalg.eigh(sigma)
-    return vecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
-def _diagonal_column(fac: np.ndarray) -> np.ndarray | None:
-    """The diagonal of ``fac`` as an (r, 1) column when every other entry is zero, else None."""
+    fac = vecs * np.sqrt(np.clip(evals, 0.0, None))
     diag = np.diagonal(fac)
-    return diag[:, None] if np.array_equal(fac, np.diag(diag)) else None
+    return diag if np.array_equal(fac, np.diag(diag)) else fac
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +223,20 @@ class _SpawnedState:
         return self.words
 
 
+def _noise_scaling(model: SystemModel, T: int) -> tuple[list, int]:
+    """(columns of the normals, noise factor) pairs for simulate_batch, and its chunk.
+
+    One pair covers both factors when both are diagonal.  The chunk's normals,
+    step vectors and dense-factor product fit in ``SCRATCH_BUDGET_BYTES``.
+    """
+    n, m = model.n, model.m
+    scaling = [(slice(0, m), _noise_factor(model.sigma_u)), (slice(m, n + m), _noise_factor(model.sigma_w))]
+    if all(fac.ndim == 1 for _, fac in scaling):
+        scaling = [(slice(0, n + m), np.concatenate([fac for _, fac in scaling]))]
+    dense_rows = max((fac.shape[0] for _, fac in scaling if fac.ndim == 2), default=0)
+    return scaling, max(1, SCRATCH_BUDGET_BYTES // (8 * (T * (n + m + dense_rows) + 3 * n)))
+
+
 def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryBatch:
     """Simulate d independent trajectories and keep only the last transition.
 
@@ -239,15 +250,13 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     keeps the stored last-step disturbance independent of everything that
     enters the design row.
 
-    Trajectories run in chunks sized so that the chunk's normals fit in
-    ``NORMALS_BUDGET_BYTES``; every buffer is allocated once per call and
-    written in place.  Each trajectory fills its T rows of
-    ``[u normals, w normals]`` with one draw.  The noise factors are applied
-    to all T rows at once and ``B u`` to all T - 1 steps at once, since
-    neither depends on x; the loop is then ``A x``, plus ``B u``, plus ``w``,
-    in the association order of ``x = A x + B u + w``.  Each matmul runs one
-    matrix-vector product per trajectory and step, so the result is bit-equal
-    to stepping each trajectory on its own.
+    Trajectories run in chunks whose scratch fits ``SCRATCH_BUDGET_BYTES``
+    (``_noise_scaling``), in buffers allocated once per call.  Each
+    trajectory fills its T rows of ``[u normals, w normals]`` with one draw;
+    the noise factors scale them in place, and u and w are views of them.
+    Each step forms ``A x`` and ``B u`` and adds ``B u``, then ``w``, in the
+    association order of ``x = A x + B u + w``, with one matrix-vector
+    product per trajectory, so the bits equal stepping each trajectory alone.
 
     A factor with zero off-diagonal entries is applied as ``diag * z + 0.0``.
     The matrix-vector product sums one nonzero term with exact zeros, which
@@ -265,21 +274,11 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     n, m = model.n, model.m
-    A, B = model.A, model.B
-
-    chunk = min(d, max(1, NORMALS_BUDGET_BYTES // (8 * T * (n + m))))
-    # (k, ..., 1) stacks: matmul runs one gemv per trajectory and step, which
-    # matches ``M @ v`` bit for bit where a gemm across the chunk would not
-    normals = np.empty((chunk, T, n + m))
-    u = np.empty((chunk, T, m, 1))
-    w = np.empty((chunk, T, n, 1))
-    Bu = np.empty((chunk, T - 1, n, 1))
-    x = np.empty((chunk, n, 1))
-    x_new = np.empty((chunk, n, 1))
-    noise = []
-    for sigma, out, cols in ((model.sigma_u, u, slice(0, m)), (model.sigma_w, w, slice(m, None))):
-        fac = _psd_factor(sigma)
-        noise.append((fac, _diagonal_column(fac), out, cols))
+    scaling, chunk = _noise_scaling(model, T)
+    # (k, ..., 1) stacks: matmul runs one gemv per trajectory, which matches
+    # ``M @ v`` bit for bit where a gemm across the chunk would not
+    normals = np.empty((min(chunk, d), T, n + m))
+    x, x_new, Bu = np.empty((3, len(normals), n, 1))
     states = _spawned_states(seed, d)
     np.random.bit_generator.ISeedSequence.register(_SpawnedState)
     X = np.empty((d, n + m))
@@ -289,27 +288,28 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
         z = normals[:k]
         for row, words in zip(z, states[start : start + k]):
             np.random.Generator(np.random.PCG64(_SpawnedState(words))).standard_normal(out=row)
-        for fac, diag, out, cols in noise:
-            if diag is None:
-                np.matmul(fac, z[:, :, cols, None], out=out[:k])
+        for cols, fac in scaling:
+            zc = z[:, :, cols]
+            if fac.ndim == 2:
+                zc[...] = np.matmul(fac, zc[..., None])[..., 0]
             else:
-                np.multiply(diag, z[:, :, cols, None], out=out[:k])
-                out[:k] += 0.0  # the gemv sums to +0 where diag * z gives -0
-        np.matmul(B, u[:k, : T - 1], out=Bu[:k])
-        xs, xs_new = x[:k], x_new[:k]
+                np.multiply(zc, fac, out=zc)
+                zc += 0.0  # the gemv sums to +0 where diag * z gives -0
+        u, w = z[:, :, :m, None], z[:, :, m:, None]
+        xs, xs_new, bu = x[:k], x_new[:k], Bu[:k]
         xs.fill(0.0)
         for t in range(T - 1):
-            np.matmul(A, xs, out=xs_new)
-            xs_new += Bu[:k, t]
-            xs_new += w[:k, t]
+            np.matmul(model.A, xs, out=xs_new)
+            xs_new += np.matmul(model.B, u[:, t], out=bu)
+            xs_new += w[:, t]
             xs, xs_new = xs_new, xs
         rows = slice(start, start + k)
         X[rows, :n] = xs[:, :, 0]
-        X[rows, n:] = u[:k, T - 1, :, 0]
-        W[rows] = w[:k, T - 1, :, 0]
-    # Final transition applied at the matrix level so Y - X theta - W is
-    # bitwise zero.
-    Y = X @ model.stacked() + W
+        X[rows, n:] = z[:, T - 1, :m]
+        W[rows] = z[:, T - 1, m:]
+    # the final transition as one matrix product, so Y - X theta - W is bitwise zero
+    Y = X @ model.stacked()
+    Y += W
     return TrajectoryBatch(X=X, Y=Y, W=W)
 
 

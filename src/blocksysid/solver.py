@@ -26,7 +26,7 @@ import numpy as np
 from .blocks import BlockPartition, BlockSupport, _check_grid, _offsets, block_row_indices, support_pattern
 from .lti import TrajectoryBatch
 
-_SENTINEL = -1e300
+_SENTINEL = -np.inf
 
 # Relative tolerance for treating entries as tied with the block max-abs when
 # measuring the distance to the subdifferential.  Iterates only approach exact
@@ -245,7 +245,7 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
         # projection onto the simplex of radius lam over the max entries
         y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
         with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
-            dist2 = (Qn * Qn * ~on_max).sum(axis=1)
+            dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
             dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
         big = ~np.isfinite(dist2)

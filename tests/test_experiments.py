@@ -60,6 +60,13 @@ def test_config_validation():
         small_config(T_list=[3.7])
     with pytest.raises(ValueError, match="d_list"):
         small_config(d_list=[True])
+    # a trajectory index is one 32-bit spawn-key word: rejected before the
+    # earlier points run, not by simulate_batch at the first point that has it
+    with pytest.raises(ValueError, match=r"every entry of d_list must lie in \[1, 2\*\*32 - 1\]"):
+        small_config(d_list=[10, 2**32])
+    with pytest.raises(ValueError, match="d_list"):
+        small_config(d_list=[0])
+    assert small_config(d_list=[2**32 - 1]).d_list == (2**32 - 1,)
     with pytest.raises(ValueError, match="seeds"):
         small_config(seeds=[0.0])
     # a negative seed names the field here, not numpy's message at the first point

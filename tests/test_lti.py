@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ from hypothesis.extra.numpy import arrays
 
 from blocksysid.blocks import BlockPartition
 from blocksysid.lti import (
-    NORMALS_BUDGET_BYTES,
-    _diagonal_column,
-    _psd_factor,
+    SCRATCH_BUDGET_BYTES,
+    _noise_factor,
+    _noise_scaling,
     _spawned_states,
     SystemModel,
     TrajectoryBatch,
@@ -128,13 +129,39 @@ def test_simulate_smaller_batch_is_a_prefix_of_x_and_w(model):
     # boundary; Y is recomputed from them, not sliced, since the bits of the
     # final product depend on the row count
     T = 10
-    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
+    chunk = _noise_scaling(model, T)[1]
     large = simulate_batch(model, T, 2 * chunk + 5, seed=4)
     for d in (1, 2, 3, 5, chunk + 1):
         small = simulate_batch(model, T, d, seed=4)
         assert np.array_equal(small.X, large.X[:d])
         assert np.array_equal(small.W, large.W[:d])
         assert np.array_equal(small.Y, large.X[:d] @ model.stacked() + large.W[:d])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [gen_synthetic(30, 1, seed=0), gen_mass_spring(7, dt=0.2), gen_multi_agent(4, 1, 2, 3, dt=0.2, seed=1)],
+    ids=["synthetic", "mass_spring", "multi_agent"],
+)
+def test_simulate_scratch_stays_within_the_budget(model):
+    # What simulate_batch holds beyond X, Y, W and the four seed words per
+    # trajectory is the chunk's scratch, over several chunks and a partial
+    # one.  On top of it, numpy's ufuncs copy a non-contiguous operand
+    # through a buffer of np.getbufsize() elements (the in-place noise
+    # scaling takes one), and the interpreter's objects take a few hundred
+    # bytes; neither grows with the chunk.  The batch's finiteness check
+    # holds a d x (n + m) mask of bools, which at this d is far smaller.
+    T = 10
+    d = 4 * _noise_scaling(model, T)[1] + 7
+    simulate_batch(model, T, 2, seed=0)  # numpy.random's first-use allocations
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(model, T, d, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - (batch.X.nbytes + batch.Y.nbytes + batch.W.nbytes + 4 * 8 * d)
+    assert scratch <= SCRATCH_BUDGET_BYTES + 8 * np.getbufsize() + 4096
 
 
 def test_simulate_rejects_bad_arguments():
@@ -228,16 +255,16 @@ def test_generator_noise_factors_are_diagonal():
         gen_multi_agent(4, 1, 2, 3, dt=0.2, seed=1),
     ):
         for sigma in (model.sigma_u, model.sigma_w):
-            diag = _diagonal_column(_psd_factor(sigma))
-            assert diag is not None
-            assert np.array_equal(diag[:, 0], np.sqrt(np.diagonal(sigma)))
-    assert _diagonal_column(_psd_factor(_zero_variance_model().sigma_w)) is not None
+            diag = _noise_factor(sigma)
+            assert diag.ndim == 1
+            assert np.array_equal(diag, np.sqrt(np.diagonal(sigma)))
+    assert _noise_factor(_zero_variance_model().sigma_w).ndim == 1
     dense = _dense_noise_model()
-    assert _diagonal_column(_psd_factor(dense.sigma_u)) is None
-    assert _diagonal_column(_psd_factor(dense.sigma_w)) is None
+    assert _noise_factor(dense.sigma_u).ndim == 2
+    assert _noise_factor(dense.sigma_w).ndim == 2
 
 
-@pytest.mark.parametrize("T", [2, 6])
+@pytest.mark.parametrize("T", [2, 6, 10])
 @pytest.mark.parametrize(
     "model",
     [
@@ -259,7 +286,7 @@ def test_simulate_matches_per_trajectory_reference(model, T):
     # the chunked, batched simulator must give the per-trajectory recurrence's
     # bits, across chunk boundaries and for a partial last chunk; array_equal
     # takes -0 for +0, so the signs of zeros are compared too
-    chunk = max(1, NORMALS_BUDGET_BYTES // (8 * T * (model.n + model.m)))
+    chunk = _noise_scaling(model, T)[1]
     assert chunk > 2
     cases = [(d, d) for d in (1, chunk - 1, chunk + 1, 2 * chunk + chunk // 2)]
     cases.append((chunk + 3, 2**150 + 2**64 + 7))  # a seed of five 32-bit words

@@ -461,20 +461,24 @@ def test_kkt_lambda_zero_is_gradient_norm():
 )
 @pytest.mark.parametrize("tied", [False, True])
 def test_kkt_residual_at_a_huge_lambda_is_finite_and_exact(model, tied):
-    # at lambda = 1e300 a nonzero block's distance is about lambda, whose
-    # square overflows float64; the residual must still be finite and exact
+    # at lambda >= 1e300 a nonzero block's distance is about lambda, whose
+    # square overflows float64; the residual must still be finite and exact.
+    # A wide block's non-max entries stand in the simplex projection as a
+    # sentinel that must sort below every term: a finite -1e300 did not
+    # above 1e300, and the residual read 1.36e300 at lambda = 1e301.
     part = model.partition
     batch = simulate_batch(model, 3, 40, seed=0)
     theta = model.stacked()
     if tied:  # every nonzero entry of a block on its max-abs
         theta = np.sign(theta)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = kkt_residual(theta, batch, part, 1e300)
-    expected = kkt_residual_longdouble(theta, grad, 1e300, part.row_sizes, part.col_sizes)
-    assert np.isfinite(value)
-    assert value == pytest.approx(float(expected), rel=1e-12)
+    for lam in (1e300, 1e301, 1e305, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kkt_residual(theta, batch, part, lam)
+        expected = kkt_residual_longdouble(theta, grad, lam, part.row_sizes, part.col_sizes)
+        assert np.isfinite(value)
+        assert value == float(expected)
 
 
 @pytest.mark.parametrize(

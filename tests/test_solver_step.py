@@ -65,6 +65,15 @@ def test_step_kernels_match_allocating_references(case, lam):
     assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
+def test_kkt_stack_on_max_block_past_the_range_of_squares():
+    # both entries sit on the block's max and the gradient is exactly -lam
+    # times a valid subgradient, so the distance is 0; squaring the on-max
+    # gradient terms before masking them out gave inf * 0 = NaN
+    x = np.array([[[1.0], [1.0]]])
+    grad = np.array([[[-1e200], [-1e200]]])
+    assert np.array_equal(_kkt_stack(x, grad, 2e200, _size_groups([2])), [0.0])
+
+
 @pytest.mark.parametrize("width", [1, 2, 5])
 @pytest.mark.parametrize("k", [1, 3, 40])
 @pytest.mark.parametrize("rows", [13, 200])
