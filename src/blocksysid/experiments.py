@@ -21,6 +21,7 @@ from .lti import (
     SystemModel,
     TrajectoryBatch,
     _int_value,
+    _regression_batch,
     eigen_ratio,
     gen_mass_spring,
     gen_multi_agent,
@@ -28,7 +29,7 @@ from .lti import (
     read_json_object,
     simulate_batch,
 )
-from .metrics import error_norms, mismatch_error, rme, rst
+from .metrics import _error_report, _op_norm, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
 from .theory import AssumptionReport, check_assumptions, lambda_schedule
 
@@ -213,20 +214,18 @@ def estimate(
 
 
 def _run_point(
-    config: ExperimentConfig, model: SystemModel, assume: AssumptionReport, T: int, d: int, seed: int
+    config: ExperimentConfig, model: SystemModel, truth: tuple, assume: AssumptionReport, T: int, seed: int,
+    batch: TrajectoryBatch,
 ) -> list[ExperimentRecord]:
     partition = model.partition
-    theta_star = model.stacked()
-    true_support = support_pattern(theta_star, partition, zero_tol=0.0)
-    batch = simulate_batch(model, T, d, seed)
-    gen_params = {k: v for k, v in config.generator.items() if k != "kind"}
+    theta_star, true_support, theta_star_norm = truth
     base = dict(
         generator=config.generator["kind"],
-        gen_params=gen_params,
+        gen_params={k: v for k, v in config.generator.items() if k != "kind"},
         n=model.n,
         m=model.m,
         T=T,
-        d=d,
+        d=batch.d,
         seed=seed,
         kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
         gamma=assume.gamma,
@@ -245,7 +244,7 @@ def _run_point(
         else:
             status, converged = "ok", True if result is None else result.converged
             mm = mismatch_error(support, true_support)
-            errs = error_norms(theta, theta_star)
+            errs = _error_report(theta, theta_star, theta_star_norm)
             scores.update(
                 mismatch=mm,
                 rme=rme(mm, partition),
@@ -258,7 +257,7 @@ def _run_point(
                 estimator=estimator,
                 status=status,
                 lambda_d=lam,
-                rst=rst(d, model.n, model.m),
+                rst=rst(batch.d, model.n, model.m),
                 converged=converged,
                 wall_time_seconds=time.perf_counter() - start,
                 **scores,
@@ -271,19 +270,27 @@ def _run_point(
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run every sweep point and return the records in config order.
 
-    The model and its recovery conditions depend on the seed and the horizon
-    only, so they are computed once and shared by every trajectory count.
+    The model, its true parameter, support and operator norm, and its
+    recovery conditions depend on the seed and the horizon only, so they are
+    computed once and shared by every trajectory count.  So is the batch:
+    one per (T, seed), simulated at the largest d and released before the
+    next, serves every d with its first d rows of X and W and a Y of their
+    own (see :func:`simulate_batch`).
     """
-    models = {seed: build_model(config.generator, seed) for seed in config.seeds}
-    checks = {(T, seed): check_assumptions(models[seed], T) for T in config.T_list for seed in config.seeds}
-
-    return [
-        rec
-        for T in config.T_list
-        for d in config.d_list
-        for seed in config.seeds
-        for rec in _run_point(config, models[seed], checks[T, seed], T, d, seed)
-    ]
+    d_max = max(config.d_list)
+    points = {}
+    for k, seed in enumerate(config.seeds):
+        model = build_model(config.generator, seed)
+        theta_star = model.stacked()
+        truth = (theta_star, support_pattern(theta_star, model.partition, zero_tol=0.0), _op_norm(theta_star))
+        for i, T in enumerate(config.T_list):
+            assume = check_assumptions(model, T)
+            full = simulate_batch(model, T, d_max, seed)
+            for j, d in enumerate(config.d_list):
+                batch = full if d == d_max else _regression_batch(full.X[:d], full.W[:d], theta_star)
+                points[i, j, k] = _run_point(config, model, truth, assume, T, seed, batch)
+            del full, batch
+    return [rec for key in sorted(points) for rec in points[key]]
 
 
 def _fmt(value) -> str:

@@ -244,11 +244,13 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     so the output is bit-reproducible and does not depend on evaluation
     order.  X and W at d are the first d rows of X and W at a larger d; Y is
     not, since ``Y = X @ theta_star + W`` is one matrix product whose bits
-    depend on the row count.  ``_spawned_states`` hashes the seed words of all d
-    children at once, and numpy's PCG64 seeds itself from them as it would
-    from the child.  Within a trajectory the draws are chronological, which
-    keeps the stored last-step disturbance independent of everything that
-    enters the design row.
+    depend on the row count.  So one batch at the largest d serves every
+    smaller d through ``_regression_batch`` of its first d rows of X and W,
+    which is how a sweep simulates each (T, seed) once.  ``_spawned_states``
+    hashes the seed words of all d children at once, and numpy's PCG64
+    seeds itself from them as it would from the child.  Within a trajectory
+    the draws are chronological, which keeps the stored last-step
+    disturbance independent of everything that enters the design row.
 
     Trajectories run in chunks whose scratch fits ``SCRATCH_BUDGET_BYTES``
     (``_noise_scaling``), in buffers allocated once per call.  Each
@@ -307,8 +309,12 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
         X[rows, :n] = xs[:, :, 0]
         X[rows, n:] = z[:, T - 1, :m]
         W[rows] = z[:, T - 1, m:]
-    # the final transition as one matrix product, so Y - X theta - W is bitwise zero
-    Y = X @ model.stacked()
+    return _regression_batch(X, W, model.stacked())
+
+
+def _regression_batch(X: np.ndarray, W: np.ndarray, theta_star: np.ndarray) -> TrajectoryBatch:
+    """The batch of rows X and W with ``Y = X @ theta_star + W``; Y - X theta_star - W is bitwise zero."""
+    Y = X @ theta_star
     Y += W
     return TrajectoryBatch(X=X, Y=Y, W=W)
 

@@ -46,15 +46,23 @@ def error_norms(theta_hat: np.ndarray, theta_star: np.ndarray) -> ErrorReport:
     ``normalized_2`` divides the operator norm of the error by that of the
     true parameter, which must therefore be nonzero.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
+    return _error_report(theta_hat, theta_star, _op_norm(theta_star))
+
+
+def _op_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def _error_report(theta_hat: np.ndarray, theta_star: np.ndarray, scale: float) -> ErrorReport:
+    """:func:`error_norms` given ``_op_norm(theta_star)``, which a sweep computes once per model."""
+    theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape != theta_star.shape:
         raise ValueError(f"shapes differ: {theta_hat.shape} vs {theta_star.shape}")
-    diff = theta_hat - theta_star
-    op = float(np.linalg.norm(diff, 2)) if diff.size else 0.0
-    scale = float(np.linalg.norm(theta_star, 2)) if theta_star.size else 0.0
     if scale == 0.0:
         raise ValueError("normalized error undefined for a zero true parameter")
+    diff = theta_hat - theta_star
+    op = _op_norm(diff)
     return ErrorReport(
         linf_elementwise=float(np.abs(diff).max()) if diff.size else 0.0,
         op_norm=op,

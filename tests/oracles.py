@@ -4,14 +4,20 @@ Everything here is deliberately slow and structurally different from the
 library code paths it checks: bisection instead of sort-threshold for the
 l1 projection, raw subgradient descent instead of proximal iterations for
 the estimator, normal equations instead of an orthogonal factorization
-for least squares, and one trajectory at a time instead of chunks for the
-simulator.  The step-kernel references are the solver's former allocating
-kernels, which the in-place ones must match bit for bit.
+for least squares, one trajectory at a time instead of chunks for the
+simulator, and one simulation per point instead of one per horizon and
+seed for the sweep.  The step-kernel references are the solver's former
+allocating kernels, which the in-place ones must match bit for bit.
 """
 
 import numpy as np
 
-from blocksysid.solver import _SENTINEL, TIE_RTOL, _l1_thresholds
+from blocksysid.blocks import support_pattern
+from blocksysid.experiments import ExperimentRecord, build_model, estimate
+from blocksysid.lti import eigen_ratio, simulate_batch
+from blocksysid.metrics import error_norms, mismatch_error, rme, rst
+from blocksysid.solver import _SENTINEL, TIE_RTOL, LeastSquaresUndefined, _l1_thresholds
+from blocksysid.theory import check_assumptions
 
 
 def project_l1_sort_scan(v, radius):
@@ -185,6 +191,55 @@ def simulate_batch_reference(model, T, d, seed):
     return X, Y, W
 
 
+def sweep_per_point_reference(config):
+    """``run_experiment``'s records, from a model, check and batch made anew for every point.
+
+    Points run in config order, each on ``simulate_batch(model, T, d, seed)``,
+    and are scored against the model's own ``stacked()`` through
+    ``error_norms``.
+    """
+    records = []
+    for T in config.T_list:
+        for d in config.d_list:
+            for seed in config.seeds:
+                model = build_model(config.generator, seed)
+                assume = check_assumptions(model, T)
+                batch = simulate_batch(model, T, d, seed)
+                truth = support_pattern(model.stacked(), model.partition, zero_tol=0.0)
+                for estimator in config.estimators:
+                    row = dict.fromkeys(("mismatch", "rme", "linf", "op_norm", "normalized_2"))
+                    try:
+                        theta, support, lam, result = estimate(
+                            estimator, batch, model.partition, config.lambda_mode, config.standardize
+                        )
+                    except LeastSquaresUndefined:
+                        row.update(status="undefined", lambda_d=None, converged=None)
+                    else:
+                        errs = error_norms(theta, model.stacked())
+                        mismatch = mismatch_error(support, truth)
+                        row.update(
+                            status="ok",
+                            lambda_d=lam,
+                            converged=True if result is None else result.converged,
+                            mismatch=mismatch,
+                            rme=rme(mismatch, model.partition),
+                            linf=errs.linf_elementwise,
+                            op_norm=errs.op_norm,
+                            normalized_2=errs.normalized_2,
+                        )
+                    records.append(ExperimentRecord(
+                        generator=config.generator["kind"],
+                        gen_params={k: v for k, v in config.generator.items() if k != "kind"},
+                        n=model.n, m=model.m, T=T, d=d, seed=seed, estimator=estimator,
+                        rst=rst(d, model.n, model.m),
+                        kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
+                        gamma=assume.gamma,
+                        wall_time_seconds=0.0,
+                        **row,
+                    ))
+    return records
+
+
 def _block_rows_reference(stack, rows, p):
     return stack[:, rows].reshape(-1, p * stack.shape[2])
 
@@ -238,7 +293,7 @@ def kkt_stack_reference(x, grad, lam, groups):
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
         y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are measured again
-            dist2 = (Qn * Qn * ~on_max).sum(axis=1)
+            dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
             dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
         per_row[nz] = np.sqrt(dist2)
         big = ~np.isfinite(dist2)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksysid import experiments
 from blocksysid.experiments import (
     CSV_COLUMNS,
     ESTIMATOR_NAMES,
@@ -16,12 +18,17 @@ from blocksysid.experiments import (
     ExperimentRecord,
     _generator_params,
     build_model,
+    estimate,
     records_to_csv,
     resolve_lambda,
     run_experiment,
     write_records_csv,
 )
+from blocksysid.lti import simulate_batch
+from blocksysid.metrics import error_norms
 from blocksysid.theory import lambda_schedule
+
+from oracles import sweep_per_point_reference
 
 
 def small_config(**overrides):
@@ -172,6 +179,65 @@ def test_horizon_sweep_records_growing_kappa():
     kappas = [r.kappa for r in records]
     assert kappas == sorted(kappas)
     assert kappas[0] < kappas[-1]
+
+
+# Sweeps whose smaller d come from a larger d's batch: d out of order and
+# repeated, two horizons in descending order, two seeds, both estimators.
+# At d = 20, below n + m, the product X @ theta* of 20 rows can have other
+# bits than the first 20 rows of the 400-row product (it does with
+# OpenBLAS 0.3.31), so a sweep that sliced Y would differ there.
+SHARED_BATCH_SWEEPS = {
+    kind: dict(
+        generator=generator, T_list=[4, 3], d_list=[400, 100, 200, 20, 100], seeds=[2, 0],
+        estimators=["block_reg", "least_squares"],
+    )
+    for kind, generator in (
+        ("synthetic", {"kind": "synthetic", "n": 20, "w": 1}),
+        ("mass_spring", {"kind": "mass_spring", "masses": 15}),
+        ("multi_agent", {"kind": "multi_agent", "agents": 6, "degree": 2, "state_size": 3, "input_size": 3}),
+    )
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_BATCH_SWEEPS))
+def test_sweep_equals_per_point_simulation(kind):
+    config = ExperimentConfig.from_dict(SHARED_BATCH_SWEEPS[kind])
+    assert records_to_csv(run_experiment(config)) == records_to_csv(sweep_per_point_reference(config))
+
+
+def test_sweep_simulates_each_horizon_and_seed_once_and_frees_the_batch(monkeypatch):
+    config = ExperimentConfig.from_dict(SHARED_BATCH_SWEEPS["synthetic"])
+    calls, refs = [], []
+
+    def recording(model, T, d, seed):
+        # the previous batch, and the X its smaller points view, are gone
+        assert all(ref() is None for ref in refs)
+        batch = simulate_batch(model, T, d, seed)
+        calls.append((T, d, seed))
+        refs.extend((weakref.ref(batch), weakref.ref(batch.X)))
+        return batch
+
+    monkeypatch.setattr(experiments, "simulate_batch", recording)
+    run_experiment(config)
+    assert sorted(calls) == sorted((T, 400, seed) for T in config.T_list for seed in config.seeds)
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+def test_sweep_norms_equal_error_norms_of_the_estimate(estimator):
+    # the sweep scores against one cached operator norm of theta* per model
+    config = ExperimentConfig.from_dict({**SHARED_BATCH_SWEEPS["multi_agent"], "estimators": [estimator]})
+    rows = [r for r in run_experiment(config) if r.status == "ok"]
+    # least squares is undefined at d = 20 only
+    assert {r.d for r in rows} == {20, 100, 200, 400} - ({20} if estimator == "least_squares" else set())
+    for row in rows:
+        model = build_model(config.generator, row.seed)
+        batch = simulate_batch(model, row.T, row.d, row.seed)
+        theta = estimate(estimator, batch, model.partition, config.lambda_mode, config.standardize)[0]
+        errs = error_norms(theta, model.stacked())
+        assert row.linf == errs.linf_elementwise
+        assert row.op_norm == errs.op_norm
+        assert row.normalized_2 == errs.normalized_2
 
 
 # Every float a record can hold, NaN aside: infinities, signed zeros and subnormals included.

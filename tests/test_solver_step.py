@@ -40,6 +40,11 @@ _V1 = np.array([1e200, 1e200, -1e200, -1e200, -1e200, 0.0, -0.0, -3e-200, 3e-200
 ONE_ENTRY = ([1] * 10, _X1.reshape(1, 10, 1), _V1.reshape(1, 10, 1))
 ONE_ENTRY_TWO_COLUMNS = ([1] * 5, _X1.reshape(2, 5, 1), _V1.reshape(2, 5, 1))
 
+# A two-entry block whose entries both sit on its max, with on-max gradient
+# terms whose squares overflow: squaring them before masking them out gives
+# inf * 0 = NaN, where the distance is 0.
+ON_MAX_PAST_SQUARES = ([2], np.array([[[1.0], [1.0]]]), np.array([[[-1e200], [-1e200]]]))
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=stacks(), lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 8.0)))
@@ -53,6 +58,7 @@ ONE_ENTRY_TWO_COLUMNS = ([1] * 5, _X1.reshape(2, 5, 1), _V1.reshape(2, 5, 1))
 @example(case=ONE_ENTRY_TWO_COLUMNS, lam=5e-324)
 @example(case=ONE_ENTRY_TWO_COLUMNS, lam=1e-200)
 @example(case=ONE_ENTRY_TWO_COLUMNS, lam=1e300)
+@example(case=ON_MAX_PAST_SQUARES, lam=2e200)
 def test_step_kernels_match_allocating_references(case, lam):
     row_sizes, x, v = case
     groups = _size_groups(row_sizes)
@@ -66,12 +72,9 @@ def test_step_kernels_match_allocating_references(case, lam):
 
 
 def test_kkt_stack_on_max_block_past_the_range_of_squares():
-    # both entries sit on the block's max and the gradient is exactly -lam
-    # times a valid subgradient, so the distance is 0; squaring the on-max
-    # gradient terms before masking them out gave inf * 0 = NaN
-    x = np.array([[[1.0], [1.0]]])
-    grad = np.array([[[-1e200], [-1e200]]])
-    assert np.array_equal(_kkt_stack(x, grad, 2e200, _size_groups([2])), [0.0])
+    # the gradient is exactly -lam times a valid subgradient, so the distance is 0
+    row_sizes, x, grad = ON_MAX_PAST_SQUARES
+    assert np.array_equal(_kkt_stack(x, grad.copy(), 2e200, _size_groups(row_sizes)), [0.0])
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
