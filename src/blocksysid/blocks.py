@@ -9,6 +9,7 @@ blocks: state row blocks first, then input row blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -20,6 +21,20 @@ DEFAULT_ZERO_TOL = 1e-8
 def _offsets(sizes) -> tuple[int, ...]:
     """Start of each block and the end of the last: (0, s0, s0+s1, ...)."""
     return tuple(accumulate(sizes, initial=0))
+
+
+def _int_value(name: str, value) -> int:
+    """An integer; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_tuple(name: str, values) -> tuple[int, ...]:
+    """A list field of integers."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(_int_value(f"every entry of {name}", v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -35,8 +50,8 @@ class BlockPartition:
     col_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "row_sizes", tuple(int(s) for s in self.row_sizes))
-        object.__setattr__(self, "col_sizes", tuple(int(s) for s in self.col_sizes))
+        for name in ("row_sizes", "col_sizes"):
+            object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
         if any(s <= 0 for s in self.row_sizes) or any(s <= 0 for s in self.col_sizes):
             raise ValueError("block sizes must be positive")
         if self.n_state_blocks <= 0 or self.n_input_blocks < 0:
@@ -171,6 +186,6 @@ def support_pattern(
     theta: np.ndarray, partition: BlockPartition, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> BlockSupport:
     """Mark a block as nonzero iff its max-abs entry exceeds ``zero_tol``."""
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
     return BlockSupport(block_abs_max(theta, partition) > zero_tol)

@@ -83,15 +83,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seeds=(args.seed,))
-    out = args.out or config.output_path
-    if not out:
-        raise ValueError("sweep needs --out or an output_path in the config")
-    records = run_experiment(config)
-    write_records_csv(records, out)
-    print(f"wrote {len(records)} records to {out}", file=sys.stderr)
+    records = run_experiment(ExperimentConfig.from_json_file(args.config))
+    write_records_csv(records, args.out)
+    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -153,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a full experiment sweep from a config file")
     p_sweep.add_argument("--config", required=True, help="sweep config JSON file")
-    p_sweep.add_argument("--out", help="output CSV path (falls back to the config's output_path)")
-    p_sweep.add_argument("--seed", type=int, help="replace the config's seed list with one seed")
+    p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -16,11 +16,10 @@ import numbers
 import time
 from dataclasses import dataclass, field, fields
 
-from .blocks import BlockPartition, support_pattern
+from .blocks import BlockPartition, _int_tuple, _int_value, support_pattern
 from .lti import (
     SystemModel,
     TrajectoryBatch,
-    _int_value,
     _regression_batch,
     eigen_ratio,
     gen_mass_spring,
@@ -54,7 +53,6 @@ class ExperimentConfig:
     lambda_mode: str = "schedule"
     estimators: tuple[str, ...] = ("block_reg",)
     standardize: bool = True
-    output_path: str | None = None
 
     def __post_init__(self):
         _generator_params(self.generator)
@@ -123,13 +121,6 @@ class ExperimentRecord:
 
 # Fixed CSV schema: the record's compared fields, in declaration order.
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.compare)
-
-
-def _int_tuple(name: str, values) -> tuple[int, ...]:
-    """A list field of integers."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(_int_value(f"every entry of {name}", v) for v in values)
 
 
 def _generator_params(generator) -> dict:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockPartition
+from .blocks import BlockPartition, _int_value
 
 SYMMETRY_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -55,13 +54,6 @@ def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
         if evals[0] < -EIG_TOL * max(1.0, evals[-1]):
             raise ValueError(f"{name} has negative eigenvalue {evals[0]:.3e}")
     return sigma
-
-
-def _int_value(name: str, value) -> int:
-    """An integer; floats and booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _noise_factor(sigma: np.ndarray) -> np.ndarray:
@@ -502,7 +494,8 @@ def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
         if key not in doc:
             raise ValueError(f"{source}: missing field '{key}'")
     partition = BlockPartition(doc["row_sizes"], doc["col_sizes"])
-    if partition.n != int(doc["n"]) or partition.m != int(doc["m"]):
+    n, m = (_int_value(f"{source}: field '{key}'", doc[key]) for key in ("n", "m"))
+    if partition.n != n or partition.m != m:
         raise ValueError(f"{source}: fields n/m disagree with the block sizes")
     sigma_u = np.asarray(doc["sigma_u"], dtype=float)
     if sigma_u.shape == (0,):  # a model without inputs writes its 0 x 0 covariance as []

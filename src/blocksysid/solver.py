@@ -36,6 +36,10 @@ _SENTINEL = -np.inf
 # point within TIE_RTOL * max-abs (elementwise) of the iterate.
 TIE_RTOL = 1e-6
 
+# The stopping rule: a column stops at a residual of at most KKT_TOL, or unconverged after MAX_ITER steps.
+KKT_TOL = 1e-7
+MAX_ITER = 50_000
+
 
 class LeastSquaresUndefined(ValueError):
     """Raised when the plain least-squares estimate does not exist uniquely."""
@@ -43,7 +47,7 @@ class LeastSquaresUndefined(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Solver knobs for the block-regularized estimator.
+    """The estimator's weight ``lambda_d`` and column scaling; ``KKT_TOL`` and ``MAX_ITER`` stop the solve.
 
     With ``standardize`` the design columns are scaled to unit sample
     standard deviation before solving and the estimate is mapped back, so
@@ -54,17 +58,11 @@ class EstimatorConfig:
     """
 
     lambda_d: float
-    max_iter: int = 50_000
-    kkt_tol: float = 1e-7
     standardize: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.lambda_d) or self.lambda_d < 0:
             raise ValueError("lambda_d must be finite and nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +95,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     Sort-and-threshold; ties are resolved by index order through the stable
     sort, and interior points are returned unchanged.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -114,7 +112,7 @@ def prox_linf(v, tau: float) -> np.ndarray:
 
     The output is exactly zero iff the l1 norm of v is at most tau.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     v = np.asarray(v, dtype=float)
     if tau == 0:
@@ -290,7 +288,7 @@ def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _lockstep_apg(
-    Gmat: np.ndarray, c: np.ndarray, L: float, config: EstimatorConfig, groups
+    Gmat: np.ndarray, c: np.ndarray, L: float, lam: float, groups
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accelerated proximal gradient with adaptive restart on a stack of block columns.
 
@@ -298,14 +296,13 @@ def _lockstep_apg(
     subproblem per column, and the kernel consumes it.  A step runs over the
     whole stack: one stacked product with ``Gmat`` and one stacked restart
     dot, whose batch loops make a one-column solve's BLAS calls per column,
-    so each column's iterates are a one-column solve's bit for bit.  A column
-    leaves the stack when its residual reaches ``kkt_tol`` or after
-    ``max_iter`` steps, and parks its iterate in the tail slot of ``c`` that
-    the compaction frees.  Returns the final iterates (k, rows, width) in
-    column order, a view that keeps the step buffers alive, the step counts
-    and the residuals.
+    so each column's iterates are a one-column solve's bit for bit.  ``lam``
+    is the weight, already checked.  A column leaves the stack when its
+    residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps, and parks its
+    iterate in the tail slot of ``c`` that the compaction frees.  Returns
+    the final iterates (k, rows, width) in column order, a view that keeps
+    the step buffers alive, the step counts and the residuals.
     """
-    lam, tol = config.lambda_d, config.kkt_tol
     k = c.shape[0]
     iterations = np.zeros(k, dtype=int)
     residuals = np.empty(k)
@@ -320,8 +317,8 @@ def _lockstep_apg(
     resid = _kkt_stack(x, np.subtract(gx, c, out=gx_new), lam, groups)
     it = 0
     while True:
-        done = resid <= tol
-        if it == config.max_iter:
+        done = resid <= KKT_TOL
+        if it == MAX_ITER:
             done[:] = True
         if done.any():
             live = slots[:n]
@@ -433,7 +430,7 @@ def solve_block_regularized(
         for chunk in np.array_split(blocks, -(-blocks.size // cap)):
             cols = (co[chunk][:, None] + np.arange(width)).ravel()
             x, iterations[chunk], residuals[chunk] = _lockstep_apg(
-                G, _stack(theta, cols, width), L, config, row_groups
+                G, _stack(theta, cols, width), L, config.lambda_d, row_groups
             )
             theta[:, cols] = x.transpose(1, 0, 2).reshape(theta.shape[0], -1)
             # freed now, not under the next stack's or the result's allocations
@@ -446,7 +443,7 @@ def solve_block_regularized(
         support=support_pattern(theta, partition),
         kkt_residual=float(residuals.max()) if residuals.size else 0.0,
         iterations=iterations,
-        converged=bool((residuals <= config.kkt_tol).all()),
+        converged=bool((residuals <= KKT_TOL).all()),
     )
 
 
@@ -469,6 +466,7 @@ def kkt_residual(
     theta: np.ndarray, batch: TrajectoryBatch, partition: BlockPartition, lambda_d: float
 ) -> float:
     """Stationarity residual of the block-regularized objective at theta."""
+    EstimatorConfig(lambda_d)  # a negative or non-finite weight is rejected by name
     _check_batch(batch, partition)
     theta = _check_grid(theta, partition)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
@@ -502,9 +500,8 @@ def pdw_check(
     _check_batch(batch, partition)
     if not true_support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
-    if lambda_d <= 0:
-        raise ValueError("witness undefined: needs a positive lambda_d")
-    config = EstimatorConfig(lambda_d=lambda_d)
+    if not 0 < lambda_d < np.inf:
+        raise ValueError("witness undefined: needs a positive, finite lambda_d")
 
     X, d, co = batch.X, batch.d, partition.col_offsets
     row_sizes = np.asarray(partition.row_sizes)
@@ -526,8 +523,8 @@ def pdw_check(
         G_on /= d
         c_on = X_on.T @ batch.Y[:, cols] / d
         groups = _size_groups(row_sizes[on_blocks])
-        x_on, _, resid = _lockstep_apg(G_on, c_on[None], _lipschitz(G_on), config, groups)
-        if not resid[0] <= config.kkt_tol:
+        x_on, _, resid = _lockstep_apg(G_on, c_on[None], _lipschitz(G_on), lambda_d, groups)
+        if not resid[0] <= KKT_TOL:
             raise ValueError(
                 f"witness undefined: restricted solve did not converge in block column {j + 1}"
             )

@@ -35,6 +35,14 @@ def test_partition_validation():
         BlockPartition((1, 2), (1, 1))  # col blocks disagree with state rows
     with pytest.raises(ValueError):
         BlockPartition((2,), (1, 1))  # more column blocks than row blocks
+    # sizes are integers by the sweep config's rule: not truncated, and named
+    with pytest.raises(ValueError, match="^every entry of row_sizes must be an integer, got 1.5$"):
+        BlockPartition((1.5, 1), (1,))
+    with pytest.raises(ValueError, match="^every entry of col_sizes must be an integer, got True$"):
+        BlockPartition((1, 1), (True,))
+    with pytest.raises(ValueError, match="^col_sizes must be a list of integers, got 1$"):
+        BlockPartition((1, 1), 1)
+    assert BlockPartition([np.int64(2), 1], [2]).row_sizes == (2, 1)
 
 
 @pytest.mark.parametrize(
@@ -156,6 +164,12 @@ def test_support_pattern_zero_tol_marks_any_nonzero():
     assert sup.mask[1, 0] and sup.count() == 1
     dense = rng.standard_normal(part.shape)
     assert support_pattern(dense, part, 0.0).mask.all()
+
+
+@pytest.mark.parametrize("zero_tol", [-1.0, np.nan])
+def test_support_pattern_rejects_a_bad_zero_tol(zero_tol):
+    with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
+        support_pattern(np.zeros((3, 2)), BlockPartition.scalar(2, 1), zero_tol)
 
 
 def test_support_shape_mismatch_errors():

@@ -1,6 +1,6 @@
 import argparse
 import csv
-import functools
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blocksysid import solver
 from blocksysid.blocks import DEFAULT_ZERO_TOL, support_pattern
 from blocksysid.cli import build_parser, main
 from blocksysid.experiments import ESTIMATOR_NAMES, GENERATOR_PARAMS, build_model, resolve_lambda
@@ -122,6 +123,25 @@ def test_solve_lambda_zero_matches_least_squares(tmp_path):
     assert np.abs(a - b).max() < 1e-6
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("row_sizes", 5, "row_sizes must be a list of integers, got 5"),
+        ("row_sizes", [1.5, 1, 1, 1, 1, 1], "every entry of row_sizes must be an integer, got 1.5"),
+        ("col_sizes", [1, 1, 1, 1.0], "every entry of col_sizes must be an integer, got 1.0"),
+        ("n", "abc", "{path}: field 'n' must be an integer, got 'abc'"),
+    ],
+)
+def test_check_names_a_bad_size_in_the_model(tmp_path, capsys, field, value, message):
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)  # n = 4, m = 2, unit blocks
+    doc = json.loads(p.read_text())
+    doc[field] = value
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", "--model", p, "--T", 3) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=p)}\n"
+
+
 def test_solve_from_batch_file(tmp_path):
     p = tmp_path / "m.json"
     run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 2, "--out", p)
@@ -224,22 +244,21 @@ def test_solve_and_sweep_agree_on_one_point(tmp_path, capsys, estimator):
         assert error_norms(theta, model.stacked()).linf_elementwise == float(row["linf"])
 
 
-def test_sweep_seed_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "generator": {"kind": "synthetic", "n": 8, "w": 1},
-        "T_list": [3], "d_list": [20], "seeds": [0, 1, 2],
-        "estimators": ["block_reg"],
-    }))
-    out = tmp_path / "r.csv"
-    assert run_cli("sweep", "--config", cfg, "--out", out, "--seed", 5) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2  # header + one record
-    assert ",5," in lines[1]
-    # a negative override is rejected by name before any point runs
-    assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "neg.csv", "--seed", -1) == 2
-    assert "seeds must be nonnegative" in capsys.readouterr().err
-    assert not (tmp_path / "neg.csv").exists()
+def test_the_settable_surface(tmp_path, capsys):
+    # lambda_d is the estimator's one parameter; solver.KKT_TOL and solver.MAX_ITER are the stopping rule
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["lambda_d", "standardize"]
+    # the seeds come from the config and the output path from --out, each from nowhere else
+    doc = {"generator": {"kind": "synthetic", "n": 8, "w": 1}, "T_list": [3], "d_list": [20], "seeds": [0]}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    cfg.write_text(json.dumps({**doc, "output_path": str(out)}))
+    assert run_cli("sweep", "--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown field(s) 'output_path'\n"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--config", cfg, "--out", out, "--seed", 1)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 1\n")
+    assert not out.exists()
 
 
 def test_cli_error_reporting(tmp_path, capsys):
@@ -262,8 +281,10 @@ def test_sweep_without_an_output_path_fails_before_any_point(tmp_path, capsys, m
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr("blocksysid.cli.run_experiment", no_sweep)
-    assert run_cli("sweep", "--config", cfg) == 2
-    assert capsys.readouterr().err == "error: sweep needs --out or an output_path in the config\n"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("sweep", "--config", cfg)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --out\n")
 
 
 @pytest.mark.parametrize("value", ["foo", "nan", "inf", "-1"])
@@ -300,7 +321,7 @@ def test_solve_least_squares_support_counts_any_nonzero_entry(tmp_path, capsys):
 def test_solve_warns_when_the_solver_hits_the_iteration_cap(tmp_path, capsys, monkeypatch):
     p = tmp_path / "m.json"
     run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--seed", 2, "--out", p)
-    monkeypatch.setattr("blocksysid.experiments.EstimatorConfig", functools.partial(EstimatorConfig, max_iter=2))
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     out = tmp_path / "est.json"
     assert run_cli("solve", "--model", p, "--T", 3, "--d", 50, "--out", out) == 0
     residual = json.loads(out.read_text())["kkt_residual"]

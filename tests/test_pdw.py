@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blocksysid import solver
 from blocksysid.blocks import BlockPartition, BlockSupport, block_range, support_pattern
 from blocksysid.lti import SystemModel, TrajectoryBatch, gen_multi_agent, gen_synthetic, simulate_batch
 from blocksysid.solver import EstimatorConfig, pdw_check, solve_block_regularized
@@ -113,11 +114,12 @@ def test_witness_reads_only_the_data_and_requires_positive_lambda():
     assert (r1.success, r1.gamma_margin) == (r2.success, r2.gamma_margin) and all(
         np.array_equal(a, b) for a, b in zip(r1.dual_norms, r2.dual_norms, strict=True)
     )
-    with pytest.raises(ValueError, match="witness"):
-        pdw_check(batch, model.partition, 0.0, truth)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="witness"):
+            pdw_check(batch, model.partition, lam, truth)
 
 
-def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks():
+def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks(monkeypatch):
     # 3x3 blocks: the block max-abs prox clips the top entries of a block to
     # a common value, so on-support blocks have tied maxima.  The witness must
     # use the subgradient its restricted solve certifies, which makes its dual
@@ -128,7 +130,9 @@ def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks():
     batch = standardized(simulate_batch(model, 3, d, seed=2))
     lam = lambda_schedule(part.max_block_size, part.n_state_blocks, part.n_input_blocks, d)
     truth = support_pattern(model.stacked(), part, 0.0)
-    full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam, kkt_tol=1e-9))
+    with monkeypatch.context() as patch:  # the tighter tolerance is for this solve, not the witness's
+        patch.setattr(solver, "KKT_TOL", 1e-9)
+        full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
     assert np.array_equal(full.support.mask, truth.mask)
 
     report = pdw_check(batch, part, lam, truth)

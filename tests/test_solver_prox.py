@@ -51,6 +51,14 @@ def test_projection_rejects_bad_radius():
         project_l1_ball(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         project_l1_ball(np.array([1.0]), -1.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        project_l1_ball(np.array([1.0]), np.nan)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan])
+def test_prox_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        prox_linf(np.array([1.0]), tau)
 
 
 def test_prox_zero_tau_is_identity():

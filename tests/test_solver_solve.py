@@ -118,12 +118,11 @@ def test_zero_support_blocks_are_exact_zeros():
     assert not res.theta_hat[dead].any()
 
 
-def test_iteration_cap_reports_unconverged():
+def test_iteration_cap_reports_unconverged(monkeypatch):
     model = tiny_model(6)
     batch = simulate_batch(model, 3, 40, seed=6)
-    res = solve_block_regularized(
-        batch, model.partition, EstimatorConfig(lambda_d=0.05, max_iter=2)
-    )
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.05))
     assert not res.converged
     assert res.kkt_residual > 1e-7
 
@@ -140,39 +139,40 @@ def mixed_problem(seed, state_sizes, input_sizes, d, density=0.3):
 
 def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
     # Widths (2, 1, 3, 1, 2, 1) give stacks of three, two and one columns,
-    # and max_iter=24 stops some columns of each shared stack before they
+    # and MAX_ITER=24 stops some columns of each shared stack before they
     # converge.  A one-column partition needs its first row block as wide as
     # the column, so the one-column solves run the same kernel on one-column
     # stacks of the inputs the joint solve recorded.
     batch, part = mixed_problem(0, (2, 1, 3, 1, 2, 1), (2, 1), d=100)
-    config = EstimatorConfig(lambda_d=0.1, max_iter=24)
+    config = EstimatorConfig(lambda_d=0.1)
+    monkeypatch.setattr(solver, "MAX_ITER", 24)
     kernel = solver._lockstep_apg
     calls = []
 
-    def recording(Gmat, c, L, cfg, groups):
+    def recording(Gmat, c, L, lam, groups):
         c_in = c.copy()  # the kernel consumes its input stack
-        out = kernel(Gmat, c, L, cfg, groups)
-        calls.append((Gmat, c_in, L, cfg, groups, out))
+        out = kernel(Gmat, c, L, lam, groups)
+        calls.append((Gmat, c_in, L, lam, groups, out))
         return out
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
     joint = solve_block_regularized(batch, part, config)
-    monkeypatch.undo()
+    monkeypatch.setattr(solver, "_lockstep_apg", kernel)
 
     its = joint.iterations
-    assert (its == config.max_iter).any() and (its < config.max_iter).any()
+    assert (its == solver.MAX_ITER).any() and (its < solver.MAX_ITER).any()
     assert max(c.shape[0] for _, c, *_ in calls) == 3
     # stacks run by width, then by block column
     order = sorted(range(part.n_col_blocks), key=lambda j: (part.col_sizes[j], j))
     stacked = [(call, i) for call in calls for i in range(call[1].shape[0])]
     assert len(stacked) == part.n_col_blocks
     co = part.col_offsets
-    for j, ((Gmat, c, L, cfg, groups, (x, _, _)), i) in zip(order, stacked):
-        x1, its1, resid1 = kernel(Gmat, c[i : i + 1], L, cfg, groups)
+    for j, ((Gmat, c, L, lam, groups, (x, _, _)), i) in zip(order, stacked):
+        x1, its1, resid1 = kernel(Gmat, c[i : i + 1], L, lam, groups)
         assert np.array_equal(x1[0], joint.theta_hat[:, co[j] : co[j + 1]])
         assert np.array_equal(x1[0], x[i])
         assert its1[0] == its[j]
-        assert resid1[0] <= config.kkt_tol or its1[0] == config.max_iter
+        assert resid1[0] <= solver.KKT_TOL or its1[0] == solver.MAX_ITER
 
 
 SCALAR = {"kind": "synthetic", "n": 100, "w": 2}
@@ -182,18 +182,20 @@ AGENTS = {"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "in
 @pytest.mark.parametrize("problem", ["mixed", "agents"])
 def test_stack_split_never_changes_a_solve(monkeypatch, problem):
     # Stacks of one column, of three and of every column of a width give the
-    # solve of the default split bit for bit.  max_iter stops some columns of
+    # solve of the default split bit for bit.  MAX_ITER stops some columns of
     # a stack while others converge first, so columns leave out of order.
     if problem == "mixed":
         batch, part = mixed_problem(0, (2, 1, 3, 1, 2, 1), (2, 1), d=100)
-        config = EstimatorConfig(lambda_d=0.1, max_iter=24)
+        config = EstimatorConfig(lambda_d=0.1)
+        monkeypatch.setattr(solver, "MAX_ITER", 24)
     else:
         model = build_model(AGENTS, 0)
         batch, part = simulate_batch(model, 3, 200, seed=0), model.partition
         lam = resolve_lambda("schedule", part, batch.d)
-        config = EstimatorConfig(lambda_d=lam, max_iter=44, standardize=True)
+        config = EstimatorConfig(lambda_d=lam, standardize=True)
+        monkeypatch.setattr(solver, "MAX_ITER", 44)
     base = solve_block_regularized(batch, part, config)
-    assert (base.iterations < config.max_iter).any() and (base.iterations == config.max_iter).any()
+    assert (base.iterations < solver.MAX_ITER).any() and (base.iterations == solver.MAX_ITER).any()
     for cap in (1, 3, part.n_col_blocks + 1):
         monkeypatch.setattr(solver, "_stack_cap", lambda *args, cap=cap: cap)
         res = solve_block_regularized(batch, part, config)
@@ -436,12 +438,12 @@ def test_kkt_positive_below_threshold():
     assert kkt_residual(np.zeros(part.shape), batch, part, 0.5 * threshold) > 0.0
 
 
-def test_kkt_small_at_converged_solution():
+def test_kkt_small_at_converged_solution(monkeypatch):
     model = tiny_model(15)
     batch = simulate_batch(model, 3, 40, seed=15)
     part = model.partition
-    cfg = EstimatorConfig(lambda_d=0.12, kkt_tol=1e-9)
-    res = solve_block_regularized(batch, part, cfg)
+    monkeypatch.setattr(solver, "KKT_TOL", 1e-9)
+    res = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=0.12))
     assert kkt_residual(res.theta_hat, batch, part, 0.12) <= 1e-9
 
 
@@ -495,10 +497,15 @@ def test_kkt_residual_checks_shapes_against_the_partition(x_cols, y_cols, theta_
         kkt_residual(np.zeros(theta_shape), batch, BlockPartition.scalar(2, 1), 0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_kkt_residual_rejects_a_bad_lambda(lam):
+    # a weight the estimator rejects must not certify any point, as a residual of 0.0 would
+    model = tiny_model(16)
+    batch = simulate_batch(model, 3, 40, seed=16)
+    with pytest.raises(ValueError, match="^lambda_d must be finite and nonnegative$"):
+        kkt_residual(np.zeros(model.partition.shape), batch, model.partition, lam)
+
+
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(lambda_d=-0.1)
-    with pytest.raises(ValueError):
-        EstimatorConfig(lambda_d=0.1, kkt_tol=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(lambda_d=0.1, max_iter=0)

@@ -114,7 +114,7 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
         return values
 
     monkeypatch.setattr(solver, "_column_dots", recording)
-    config = solver.EstimatorConfig(lambda_d=0.05, max_iter=200)
-    _, iterations, _ = solver._lockstep_apg(G, stack, solver._lipschitz(G), config, groups)
+    monkeypatch.setattr(solver, "MAX_ITER", 200)
+    _, iterations, _ = solver._lockstep_apg(G, stack, solver._lipschitz(G), 0.05, groups)
     assert len(calls) == iterations.max() > 0
     assert sorted(calls, reverse=True) == calls and calls[0] == 4
