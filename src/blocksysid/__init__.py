@@ -19,7 +19,6 @@ from .lti import (
     load_batch_csv,
     load_model,
     save_batch_csv,
-    save_model,
     simulate_batch,
 )
 from .metrics import ErrorReport, error_norms, mismatch_error, rme, rst

@@ -13,8 +13,7 @@ import io
 import json
 import math
 import numbers
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .blocks import BlockPartition, _int_tuple, _int_value, support_pattern
 from .lti import (
@@ -30,7 +29,7 @@ from .lti import (
 )
 from .metrics import _error_report, _op_norm, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
-from .theory import AssumptionReport, check_assumptions, lambda_schedule
+from .theory import check_assumptions, lambda_schedule
 
 # Parameters of each generator kind: the required names, then the optional
 # names with their defaults.  All but dt are counts.
@@ -84,16 +83,19 @@ class ExperimentConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{source}: unknown field(s) {', '.join(map(repr, unknown))}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from None
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         return cls.from_dict(read_json_object(path), source=path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRecord:
-    """One sweep point: parameters, recovery metrics, and diagnostics."""
+    """One sweep point and its CSV row, field for field; an undefined point keeps the None defaults."""
 
     generator: str
     gen_params: dict
@@ -104,23 +106,20 @@ class ExperimentRecord:
     seed: int
     estimator: str
     status: str
-    lambda_d: float | None
-    mismatch: int | None
-    rme: float | None
+    lambda_d: float | None = None
+    mismatch: int | None = None
+    rme: float | None = None
     rst: float | None
-    linf: float | None
-    op_norm: float | None
-    normalized_2: float | None
+    linf: float | None = None
+    op_norm: float | None = None
+    normalized_2: float | None = None
     kappa: float
     gamma: float
-    converged: bool | None
-    # Wall time stays out of the CSV so that reruns with the same seeds are
-    # byte-identical; it remains available on the record.
-    wall_time_seconds: float = field(compare=False)
+    converged: bool | None = None
 
 
-# Fixed CSV schema: the record's compared fields, in declaration order.
-CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.compare)
+# Fixed CSV schema: every field of the record, in declaration order.
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _generator_params(generator) -> dict:
@@ -204,58 +203,35 @@ def estimate(
     return result.theta_hat, result.support, lam, result
 
 
-def _run_point(
-    config: ExperimentConfig, model: SystemModel, truth: tuple, assume: AssumptionReport, T: int, seed: int,
+def _record(
+    config: ExperimentConfig, model: SystemModel, truth: tuple, fixed: dict, estimator: str,
     batch: TrajectoryBatch,
-) -> list[ExperimentRecord]:
-    partition = model.partition
-    theta_star, true_support, theta_star_norm = truth
-    base = dict(
-        generator=config.generator["kind"],
-        gen_params={k: v for k, v in config.generator.items() if k != "kind"},
-        n=model.n,
-        m=model.m,
-        T=T,
-        d=batch.d,
-        seed=seed,
-        kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
-        gamma=assume.gamma,
-    )
+) -> ExperimentRecord:
+    """The record of one estimator on one batch, scored against ``truth``: theta*, its support and its norm.
 
-    records = []
-    for estimator in config.estimators:
-        start = time.perf_counter()
-        scores = dict.fromkeys(("mismatch", "rme", "linf", "op_norm", "normalized_2"))
-        try:
-            theta, support, lam, result = estimate(
-                estimator, batch, partition, config.lambda_mode, config.standardize
-            )
-        except LeastSquaresUndefined:
-            status, lam, converged = "undefined", None, None
-        else:
-            status, converged = "ok", True if result is None else result.converged
-            mm = mismatch_error(support, true_support)
-            errs = _error_report(theta, theta_star, theta_star_norm)
-            scores.update(
-                mismatch=mm,
-                rme=rme(mm, partition),
-                linf=errs.linf_elementwise,
-                op_norm=errs.op_norm,
-                normalized_2=errs.normalized_2,
-            )
-        records.append(
-            ExperimentRecord(
-                estimator=estimator,
-                status=status,
-                lambda_d=lam,
-                rst=rst(batch.d, model.n, model.m),
-                converged=converged,
-                wall_time_seconds=time.perf_counter() - start,
-                **scores,
-                **base,
-            )
+    ``fixed`` holds the fields that every point of the batch's (T, seed) shares.
+    """
+    row = dict(fixed, d=batch.d, estimator=estimator, rst=rst(batch.d, model.n, model.m))
+    try:
+        theta, support, lam, result = estimate(
+            estimator, batch, model.partition, config.lambda_mode, config.standardize
         )
-    return records
+    except LeastSquaresUndefined:
+        return ExperimentRecord(status="undefined", **row)
+    theta_star, true_support, theta_star_norm = truth
+    mm = mismatch_error(support, true_support)
+    errs = _error_report(theta, theta_star, theta_star_norm)
+    return ExperimentRecord(
+        status="ok",
+        lambda_d=lam,
+        mismatch=mm,
+        rme=rme(mm, model.partition),
+        linf=errs.linf_elementwise,
+        op_norm=errs.op_norm,
+        normalized_2=errs.normalized_2,
+        converged=True if result is None else result.converged,
+        **row,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
@@ -276,10 +252,22 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         truth = (theta_star, support_pattern(theta_star, model.partition, zero_tol=0.0), _op_norm(theta_star))
         for i, T in enumerate(config.T_list):
             assume = check_assumptions(model, T)
+            fixed = dict(
+                generator=config.generator["kind"],
+                gen_params={key: v for key, v in config.generator.items() if key != "kind"},
+                n=model.n,
+                m=model.m,
+                T=T,
+                seed=seed,
+                kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
+                gamma=assume.gamma,
+            )
             full = simulate_batch(model, T, d_max, seed)
             for j, d in enumerate(config.d_list):
                 batch = full if d == d_max else _regression_batch(full.X[:d], full.W[:d], theta_star)
-                points[i, j, k] = _run_point(config, model, truth, assume, T, seed, batch)
+                points[i, j, k] = [
+                    _record(config, model, truth, fixed, estimator, batch) for estimator in config.estimators
+                ]
             del full, batch
     return [rec for key in sorted(points) for rec in points[key]]
 

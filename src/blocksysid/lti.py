@@ -489,28 +489,32 @@ def model_to_dict(model: SystemModel) -> dict:
     }
 
 
+def _float_matrix(name: str, value) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # a string, a ragged list, a mapping
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"field '{name}' must be a rectangular array of finite numbers")
+    return arr
+
+
 def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
-    for key in ("n", "m", "row_sizes", "col_sizes", "A", "B", "sigma_u", "sigma_w"):
-        if key not in doc:
-            raise ValueError(f"{source}: missing field '{key}'")
-    partition = BlockPartition(doc["row_sizes"], doc["col_sizes"])
-    n, m = (_int_value(f"{source}: field '{key}'", doc[key]) for key in ("n", "m"))
-    if partition.n != n or partition.m != m:
-        raise ValueError(f"{source}: fields n/m disagree with the block sizes")
-    sigma_u = np.asarray(doc["sigma_u"], dtype=float)
-    if sigma_u.shape == (0,):  # a model without inputs writes its 0 x 0 covariance as []
-        sigma_u = sigma_u.reshape(0, 0)
-    return SystemModel(
-        A=np.asarray(doc["A"], dtype=float),
-        B=np.asarray(doc["B"], dtype=float),
-        sigma_u=sigma_u,
-        sigma_w=np.asarray(doc["sigma_w"], dtype=float),
-        partition=partition,
-    )
-
-
-def save_model(model: SystemModel, path: str) -> None:
-    write_json(model_to_dict(model), path)
+    """The model a document describes; every fault in it is reported with ``source`` in front."""
+    try:
+        for key in ("n", "m", "row_sizes", "col_sizes", "A", "B", "sigma_u", "sigma_w"):
+            if key not in doc:
+                raise ValueError(f"missing field '{key}'")
+        partition = BlockPartition(doc["row_sizes"], doc["col_sizes"])
+        n, m = (_int_value(f"field '{key}'", doc[key]) for key in ("n", "m"))
+        if partition.n != n or partition.m != m:
+            raise ValueError("fields n/m disagree with the block sizes")
+        A, B, sigma_u, sigma_w = (_float_matrix(key, doc[key]) for key in ("A", "B", "sigma_u", "sigma_w"))
+        if sigma_u.shape == (0,):  # a model without inputs writes its 0 x 0 covariance as []
+            sigma_u = sigma_u.reshape(0, 0)
+        return SystemModel(A=A, B=B, sigma_u=sigma_u, sigma_w=sigma_w, partition=partition)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
 def write_json(doc: dict, path: str | None) -> None:
@@ -571,7 +575,10 @@ def load_batch_csv(path: str) -> TrajectoryBatch:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"{path}: batch file has no data rows")

@@ -234,7 +234,6 @@ def sweep_per_point_reference(config):
                         rst=rst(d, model.n, model.m),
                         kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
                         gamma=assume.gamma,
-                        wall_time_seconds=0.0,
                         **row,
                     ))
     return records

@@ -129,7 +129,13 @@ def test_solve_lambda_zero_matches_least_squares(tmp_path):
         ("row_sizes", 5, "row_sizes must be a list of integers, got 5"),
         ("row_sizes", [1.5, 1, 1, 1, 1, 1], "every entry of row_sizes must be an integer, got 1.5"),
         ("col_sizes", [1, 1, 1, 1.0], "every entry of col_sizes must be an integer, got 1.0"),
-        ("n", "abc", "{path}: field 'n' must be an integer, got 'abc'"),
+        ("n", "abc", "field 'n' must be an integer, got 'abc'"),
+        ("A", "abc", "field 'A' must be a rectangular array of finite numbers"),
+        ("A", [[1.0, 0.0, 0.0, 0.0], [1.0]], "field 'A' must be a rectangular array of finite numbers"),
+        ("A", [[None] * 4] * 4, "field 'A' must be a rectangular array of finite numbers"),
+        ("sigma_u", [[1.0, "x"], [0.0, 1.0]],
+         "field 'sigma_u' must be a rectangular array of finite numbers"),
+        ("B", [[1.0]], "B must be 4x2, got (1, 1)"),
     ],
 )
 def test_check_names_a_bad_size_in_the_model(tmp_path, capsys, field, value, message):
@@ -139,7 +145,8 @@ def test_check_names_a_bad_size_in_the_model(tmp_path, capsys, field, value, mes
     doc[field] = value
     p.write_text(json.dumps(doc))
     assert run_cli("check", "--model", p, "--T", 3) == 2
-    assert capsys.readouterr().err == f"error: {message.format(path=p)}\n"
+    # every fault names the file, then the field
+    assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
 
 def test_solve_from_batch_file(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import weakref
 from dataclasses import fields
 
@@ -26,7 +27,7 @@ from blocksysid.experiments import (
 )
 from blocksysid.lti import simulate_batch
 from blocksysid.metrics import error_norms
-from blocksysid.theory import lambda_schedule
+from blocksysid.theory import check_assumptions, lambda_schedule
 
 from oracles import sweep_per_point_reference
 
@@ -138,7 +139,6 @@ def test_run_experiment_records():
         assert r.mismatch > 0
     br = [r for r in records if r.estimator == "block_reg"]
     assert all(r.status == "ok" and r.lambda_d > 0 and r.converged for r in br)
-    assert all(r.wall_time_seconds >= 0 for r in records)
     assert all(np.isfinite(r.kappa) and r.gamma <= 1.0 for r in records)
 
 
@@ -149,7 +149,7 @@ def test_csv_schema_and_determinism(tmp_path):
     assert text1 == text2
     rows = list(csv.reader(text1.splitlines()))
     assert tuple(rows[0]) == CSV_COLUMNS
-    # the schema is the record's compared fields; wall time stays out
+    # the schema is every field of the record
     assert text1.splitlines()[0] == (
         "generator,gen_params,n,m,T,d,seed,estimator,status,lambda_d,mismatch,rme,rst,"
         "linf,op_norm,normalized_2,kappa,gamma,converged"
@@ -171,6 +171,11 @@ def test_config_from_json_file_diagnostics(tmp_path):
     bad.write_text("{\n  broken\n}")
     with pytest.raises(ValueError, match="line 2"):
         ExperimentConfig.from_json_file(str(bad))
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"generator": {"kind": "synthetic", "n": 8, "w": 1}, "T_list": [1],
+                                 "d_list": [10], "seeds": [0]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(short))}: every horizon must be at least 2$"):
+        ExperimentConfig.from_json_file(str(short))
 
 
 def test_horizon_sweep_records_growing_kappa():
@@ -207,7 +212,7 @@ def test_sweep_equals_per_point_simulation(kind):
 
 def test_sweep_simulates_each_horizon_and_seed_once_and_frees_the_batch(monkeypatch):
     config = ExperimentConfig.from_dict(SHARED_BATCH_SWEEPS["synthetic"])
-    calls, refs = [], []
+    calls, refs, built, checked = [], [], [], []
 
     def recording(model, T, d, seed):
         # the previous batch, and the X its smaller points view, are gone
@@ -217,10 +222,26 @@ def test_sweep_simulates_each_horizon_and_seed_once_and_frees_the_batch(monkeypa
         refs.extend((weakref.ref(batch), weakref.ref(batch.X)))
         return batch
 
+    def building(generator, seed):
+        model = build_model(generator, seed)
+        built.append((seed, model))
+        return model
+
+    def checking(model, T):
+        checked.append((T, model))
+        return check_assumptions(model, T)
+
     monkeypatch.setattr(experiments, "simulate_batch", recording)
+    monkeypatch.setattr(experiments, "build_model", building)
+    monkeypatch.setattr(experiments, "check_assumptions", checking)
     run_experiment(config)
-    assert sorted(calls) == sorted((T, 400, seed) for T in config.T_list for seed in config.seeds)
+    per_horizon_and_seed = sorted((T, seed) for T in config.T_list for seed in config.seeds)
+    assert sorted(calls) == [(T, 400, seed) for T, seed in per_horizon_and_seed]
     assert all(ref() is None for ref in refs)
+    # one model per seed, and one check of its recovery conditions per (T, seed)
+    assert sorted(seed for seed, _ in built) == sorted(config.seeds)
+    seed_of = {id(model): seed for seed, model in built}
+    assert sorted((T, seed_of[id(model)]) for T, model in checked) == per_horizon_and_seed
 
 
 @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
@@ -256,7 +277,7 @@ def records(draw):
         name: draw(st.floats(allow_nan=False, allow_infinity=False) if name == "dt" else st.integers())
         for name in (*required, *optional)
     }
-    values = {"generator": kind, "gen_params": gen_params, "wall_time_seconds": 0.0}
+    values = {"generator": kind, "gen_params": gen_params}
     for f in fields(ExperimentRecord):
         if f.name in values:
             continue

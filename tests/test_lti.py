@@ -27,9 +27,10 @@ from blocksysid.lti import (
     gen_synthetic,
     load_batch_csv,
     load_model,
+    model_to_dict,
     save_batch_csv,
-    save_model,
     simulate_batch,
+    write_json,
 )
 
 from oracles import simulate_batch_reference
@@ -408,7 +409,7 @@ def test_model_json_roundtrip(tmp_path):
         partition=part,
     )
     path = tmp_path / "model.json"
-    save_model(model, str(path))
+    write_json(model_to_dict(model), str(path))
     doc = json.loads(path.read_text())
     assert sorted(doc) == ["A", "B", "col_sizes", "m", "n", "row_sizes", "sigma_u", "sigma_w"]
     loaded = load_model(str(path))
@@ -462,7 +463,7 @@ def _same_bits(a, b):
 def test_model_file_roundtrip_property(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
-        save_model(model, path)
+        write_json(model_to_dict(model), path)
         loaded = load_model(path)
     for name in ("A", "B", "sigma_u", "sigma_w"):
         assert _same_bits(getattr(loaded, name), getattr(model, name)), name
@@ -546,6 +547,7 @@ def test_load_batch_csv_names_the_file_and_the_non_finite_row(tmp_path):
         ("x_0,v_0,y_0\n1.0,2.0,3.0\n", "header does not match the x/u/y batch layout"),
         ("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,2.0\n", "line 3: expected 3 fields, got 2"),
         ("x_0,u_0,y_0\n", "batch file has no data rows"),
+        ("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,abc,3.0\n", "line 3: could not convert string to float: 'abc'"),
     ],
 )
 def test_load_batch_csv_names_the_file_and_the_layout_fault(tmp_path, text, message):
