@@ -11,7 +11,7 @@ import blocksysid as bs
 n, w, T, d, seed = 12, 1, 3, 480, 0
 
 model = bs.gen_synthetic(n, w, seed=seed)
-truth = bs.support_pattern(model.stacked(), model.partition, zero_tol=0.0)
+truth = bs.support_pattern(model.stacked(), model.partition)
 print(f"system: n = m = {n}, band width {w}, {truth.count()} nonzero blocks of {2 * n * n}")
 
 report = bs.check_assumptions(model, T)
@@ -33,7 +33,7 @@ print(f"block-regularized: mismatch {mm} (RME {bs.rme(mm, model.partition):.2%})
       f"converged in <= {result.iterations.max()} iterations per column")
 
 theta_ls = bs.solve_least_squares(batch)
-ls_support = bs.support_pattern(theta_ls, model.partition, zero_tol=0.0)
+ls_support = bs.support_pattern(theta_ls, model.partition)
 mm_ls = bs.mismatch_error(ls_support, truth)
 errs_ls = bs.error_norms(theta_ls, model.stacked())
 print(f"least squares:     mismatch {mm_ls} (dense estimate), "

@@ -26,7 +26,7 @@ for d in d_list:
         res = bs.solve_block_regularized(
             batch, model.partition, bs.EstimatorConfig(lambda_d=lam, standardize=True)
         )
-        truth = bs.support_pattern(model.stacked(), model.partition, 0.0)
+        truth = bs.support_pattern(model.stacked(), model.partition)
         rmes.append(bs.rme(bs.mismatch_error(res.support, truth), model.partition))
         errs.append(bs.error_norms(res.theta_hat, model.stacked()).linf_elementwise)
         if not ls_note:

@@ -12,7 +12,7 @@ import blocksysid as bs
 N, T = 30, 3
 model = bs.gen_mass_spring(N, dt=0.2)
 n, m = model.n, model.m
-truth = bs.support_pattern(model.stacked(), model.partition, 0.0)
+truth = bs.support_pattern(model.stacked(), model.partition)
 print(f"{N} masses -> n = {n} states, m = {m} inputs, "
       f"{truth.count()} nonzero blocks of {(n + m) * n}")
 

@@ -16,7 +16,7 @@ import blocksysid as bs
 agents, degree, size, T = 20, 3, 5, 3
 model = bs.gen_multi_agent(agents, degree, size, size, dt=0.2, seed=0)
 part = model.partition
-truth = bs.support_pattern(model.stacked(), part, 0.0)
+truth = bs.support_pattern(model.stacked(), part)
 total = part.n_row_blocks * part.n_col_blocks
 print(f"{agents} agents, degree {degree}, {size}x{size} blocks -> "
       f"n = m = {model.n}, {truth.count()} nonzero blocks of {total}")
@@ -36,6 +36,6 @@ for d in (300, 1000, 3000):
 
 print("\nleast squares at d = 300 (defined, since d > n+m = 200):")
 theta_ls = bs.solve_least_squares(bs.simulate_batch(model, T, 300, seed=0))
-ls_support = bs.support_pattern(theta_ls, part, 0.0)
+ls_support = bs.support_pattern(theta_ls, part)
 print(f"  every one of the {total} blocks is nonzero -> "
       f"mismatch {bs.mismatch_error(ls_support, truth)}")

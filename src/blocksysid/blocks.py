@@ -3,7 +3,7 @@
 The regression parameter of an LTI system with state matrix A (n x n) and
 input matrix B (n x m) is stacked as ``theta = [A B]^T`` with shape
 (n+m) x n.  A :class:`BlockPartition` cuts this grid into a
-(n_state_blocks + n_input_blocks) x n_state_blocks grid of rectangular
+(n_col_blocks + n_input_blocks) x n_col_blocks grid of rectangular
 blocks: state row blocks first, then input row blocks.
 """
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-
-DEFAULT_ZERO_TOL = 1e-8
 
 
 def _offsets(sizes) -> tuple[int, ...]:
@@ -54,9 +52,9 @@ class BlockPartition:
             object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
         if any(s <= 0 for s in self.row_sizes) or any(s <= 0 for s in self.col_sizes):
             raise ValueError("block sizes must be positive")
-        if self.n_state_blocks <= 0 or self.n_input_blocks < 0:
+        if self.n_col_blocks <= 0 or self.n_input_blocks < 0:
             raise ValueError("need at least one state block and a nonnegative input block count")
-        if sum(self.row_sizes[: self.n_state_blocks]) != sum(self.col_sizes):
+        if sum(self.row_sizes[: self.n_col_blocks]) != sum(self.col_sizes):
             raise ValueError("state row blocks and column blocks must cover the same state dimension")
 
     @classmethod
@@ -70,10 +68,6 @@ class BlockPartition:
         return cls.from_block_sizes((1,) * n, (1,) * m)
 
     @property
-    def n_state_blocks(self) -> int:
-        return len(self.col_sizes)
-
-    @property
     def n_input_blocks(self) -> int:
         return len(self.row_sizes) - len(self.col_sizes)
 
@@ -83,7 +77,7 @@ class BlockPartition:
 
     @property
     def m(self) -> int:
-        return sum(self.row_sizes[self.n_state_blocks :])
+        return sum(self.row_sizes[self.n_col_blocks :])
 
     @property
     def n_row_blocks(self) -> int:
@@ -108,13 +102,13 @@ class BlockPartition:
 
     @property
     def max_state_block(self) -> int:
-        return max(self.row_sizes[: self.n_state_blocks])
+        return max(self.row_sizes[: self.n_col_blocks])
 
     @property
     def max_input_block(self) -> int:
         if self.n_input_blocks == 0:
             return 0
-        return max(self.row_sizes[self.n_state_blocks :])
+        return max(self.row_sizes[self.n_col_blocks :])
 
     @property
     def max_block_size(self) -> int:
@@ -182,10 +176,6 @@ def block_abs_max(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:
     return np.maximum.reduceat(row_max, partition.col_offsets[:-1], axis=1)
 
 
-def support_pattern(
-    theta: np.ndarray, partition: BlockPartition, zero_tol: float = DEFAULT_ZERO_TOL
-) -> BlockSupport:
-    """Mark a block as nonzero iff its max-abs entry exceeds ``zero_tol``."""
-    if not zero_tol >= 0:
-        raise ValueError("zero_tol must be nonnegative")
-    return BlockSupport(block_abs_max(theta, partition) > zero_tol)
+def support_pattern(theta: np.ndarray, partition: BlockPartition) -> BlockSupport:
+    """A block is in the support iff it has a nonzero entry; the solver's prox sets the others to 0.0."""
+    return BlockSupport(block_abs_max(theta, partition) > 0.0)

@@ -171,7 +171,7 @@ def resolve_lambda(mode: str, partition: BlockPartition, d: int) -> float:
     if fixed is not None:
         return fixed
     return lambda_schedule(
-        partition.max_block_size, partition.n_state_blocks, partition.n_input_blocks, d
+        partition.max_block_size, partition.n_col_blocks, partition.n_input_blocks, d
     )
 
 
@@ -191,13 +191,12 @@ def estimate(
 ):
     """One estimate of a batch: ``(theta, support, lambda_d, result)``, shared by sweep and solve.
 
-    Least squares gives None for lambda_d and result, marks a block nonzero
-    when any entry is, and raises :class:`LeastSquaresUndefined` when the
-    estimate is not unique.
+    Least squares gives None for lambda_d and result, and raises
+    :class:`LeastSquaresUndefined` when the estimate is not unique.
     """
     if estimator == "least_squares":
         theta = solve_least_squares(batch)
-        return theta, support_pattern(theta, partition, zero_tol=0.0), None, None
+        return theta, support_pattern(theta, partition), None, None
     lam = resolve_lambda(lambda_mode, partition, batch.d)
     result = solve_block_regularized(batch, partition, EstimatorConfig(lambda_d=lam, standardize=standardize))
     return result.theta_hat, result.support, lam, result
@@ -249,7 +248,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     for k, seed in enumerate(config.seeds):
         model = build_model(config.generator, seed)
         theta_star = model.stacked()
-        truth = (theta_star, support_pattern(theta_star, model.partition, zero_tol=0.0), _op_norm(theta_star))
+        truth = (theta_star, support_pattern(theta_star, model.partition), _op_norm(theta_star))
         for i, T in enumerate(config.T_list):
             assume = check_assumptions(model, T)
             fixed = dict(

@@ -43,8 +43,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
+def _float_matrix(name: str, value) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # a string, a ragged list, a mapping
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"field '{name}' must be a rectangular array of finite numbers")
+    return arr
+
+
+def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> None:
     if sigma.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {sigma.shape}")
     if sigma.size and np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
@@ -53,7 +62,6 @@ def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> np.ndarray:
         evals = np.linalg.eigvalsh(sigma)
         if evals[0] < -EIG_TOL * max(1.0, evals[-1]):
             raise ValueError(f"{name} has negative eigenvalue {evals[0]:.3e}")
-    return sigma
 
 
 def _noise_factor(sigma: np.ndarray) -> np.ndarray:
@@ -78,16 +86,14 @@ class SystemModel:
 
     def __post_init__(self):
         n, m = self.partition.n, self.partition.m
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.shape != (n, n):
-            raise ValueError(f"A must be {n}x{n}, got {A.shape}")
-        if B.shape != (n, m):
-            raise ValueError(f"B must be {n}x{m}, got {B.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "sigma_u", _check_covariance(self.sigma_u, m, "sigma_u"))
-        object.__setattr__(self, "sigma_w", _check_covariance(self.sigma_w, n, "sigma_w"))
+        for name in ("A", "B", "sigma_u", "sigma_w"):
+            object.__setattr__(self, name, _float_matrix(name, getattr(self, name)))
+        if self.A.shape != (n, n):
+            raise ValueError(f"A must be {n}x{n}, got {self.A.shape}")
+        if self.B.shape != (n, m):
+            raise ValueError(f"B must be {n}x{m}, got {self.B.shape}")
+        _check_covariance(self.sigma_u, m, "sigma_u")
+        _check_covariance(self.sigma_w, n, "sigma_w")
 
     @property
     def n(self) -> int:
@@ -385,8 +391,8 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     """
     if w < 0:
         raise ValueError("band width must be nonnegative")
-    if n < 2 * w + 1:
-        raise ValueError(f"n={n} too small for band width w={w}: need n >= {2 * w + 1}")
+    if n < 3 * w + 1:  # a middle row has 2w+1 band entries and w off-band ones
+        raise ValueError(f"n={n} too small for band width w={w}: need n >= {3 * w + 1}")
     rng = np.random.default_rng(seed)
     A = np.eye(n)
     B = np.eye(n)
@@ -398,8 +404,6 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     cols = np.arange(n)
     for i in range(n):
         candidates = cols[np.abs(cols - i) > w]
-        if candidates.size < w:
-            raise ValueError(f"n={n} too small for the band plus {w} extra entries per row")
         if w:
             picked = rng.choice(candidates, size=w, replace=False)
             A[i, picked] = rng.choice((0.3, -0.3), size=w)
@@ -489,16 +493,6 @@ def model_to_dict(model: SystemModel) -> dict:
     }
 
 
-def _float_matrix(name: str, value) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):  # a string, a ragged list, a mapping
-        arr = None
-    if arr is None or not np.isfinite(arr).all():
-        raise ValueError(f"field '{name}' must be a rectangular array of finite numbers")
-    return arr
-
-
 def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
     """The model a document describes; every fault in it is reported with ``source`` in front."""
     try:
@@ -509,10 +503,11 @@ def model_from_dict(doc: dict, source: str = "model document") -> SystemModel:
         n, m = (_int_value(f"field '{key}'", doc[key]) for key in ("n", "m"))
         if partition.n != n or partition.m != m:
             raise ValueError("fields n/m disagree with the block sizes")
-        A, B, sigma_u, sigma_w = (_float_matrix(key, doc[key]) for key in ("A", "B", "sigma_u", "sigma_w"))
-        if sigma_u.shape == (0,):  # a model without inputs writes its 0 x 0 covariance as []
-            sigma_u = sigma_u.reshape(0, 0)
-        return SystemModel(A=A, B=B, sigma_u=sigma_u, sigma_w=sigma_w, partition=partition)
+        # a model without inputs writes its 0 x 0 covariance as []
+        sigma_u = doc["sigma_u"]
+        if isinstance(sigma_u, list) and not sigma_u:
+            sigma_u = np.zeros((0, 0))
+        return SystemModel(doc["A"], doc["B"], sigma_u, doc["sigma_w"], partition)
     except ValueError as err:
         raise ValueError(f"{source}: {err}") from None
 

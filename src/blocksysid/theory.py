@@ -140,7 +140,7 @@ def check_assumptions(model: SystemModel, T: int) -> AssumptionReport:
     partition = model.partition
     theta_star = model.stacked()
     report = design_covariance(model, T)
-    support = support_pattern(theta_star, partition, zero_tol=0.0)
+    support = support_pattern(theta_star, partition)
     gamma = mutual_incoherence(report.row_cov, partition, support)
     t_min = min_block_magnitude(theta_star, partition)
 

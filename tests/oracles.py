@@ -205,7 +205,7 @@ def sweep_per_point_reference(config):
                 model = build_model(config.generator, seed)
                 assume = check_assumptions(model, T)
                 batch = simulate_batch(model, T, d, seed)
-                truth = support_pattern(model.stacked(), model.partition, zero_tol=0.0)
+                truth = support_pattern(model.stacked(), model.partition)
                 for estimator in config.estimators:
                     row = dict.fromkeys(("mismatch", "rme", "linf", "op_norm", "normalized_2"))
                     try:

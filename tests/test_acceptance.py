@@ -114,7 +114,7 @@ def _recovery_sweep(d, seeds=10):
         res = bs.solve_block_regularized(
             batch, model.partition, bs.EstimatorConfig(lambda_d=lam, standardize=True)
         )
-        truth = bs.support_pattern(model.stacked(), model.partition, 0.0)
+        truth = bs.support_pattern(model.stacked(), model.partition)
         rmes.append(bs.rme(bs.mismatch_error(res.support, truth), model.partition))
     return rmes
 
@@ -138,10 +138,10 @@ def test_criterion_04_least_squares_never_recovers():
         model = bs.gen_synthetic(100, 2, seed=seed)
         batch = bs.simulate_batch(model, 3, 450, seed=seed)
         theta_ls = bs.solve_least_squares(batch)
-        truth = bs.support_pattern(model.stacked(), model.partition, 0.0)
+        truth = bs.support_pattern(model.stacked(), model.partition)
         off = ~truth.mask  # unit blocks: block grid == entry grid
         ok &= bool((theta_ls[off] != 0.0).all())
-        mm = bs.mismatch_error(bs.support_pattern(theta_ls, model.partition, 0.0), truth)
+        mm = bs.mismatch_error(bs.support_pattern(theta_ls, model.partition), truth)
         ok &= mm == int(off.sum())
         details.append(mm)
     assert report(
@@ -232,7 +232,7 @@ def test_criterion_09_multi_agent_block_recovery():
         res = bs.solve_block_regularized(
             batch, model.partition, bs.EstimatorConfig(lambda_d=lam, standardize=True)
         )
-        truth = bs.support_pattern(model.stacked(), model.partition, 0.0)
+        truth = bs.support_pattern(model.stacked(), model.partition)
         rmes.append(bs.rme(bs.mismatch_error(res.support, truth), model.partition))
     n_ok = sum(r <= 0.001 for r in rmes)
 
@@ -241,7 +241,7 @@ def test_criterion_09_multi_agent_block_recovery():
     with pytest.raises(LeastSquaresUndefined):
         bs.solve_least_squares(bs.simulate_batch(model, 3, 199, seed=0))
     theta_ls = bs.solve_least_squares(bs.simulate_batch(model, 3, 300, seed=0))
-    ls_dense = bool(bs.support_pattern(theta_ls, model.partition, 0.0).mask.all())
+    ls_dense = bool(bs.support_pattern(theta_ls, model.partition).mask.all())
 
     ok = n_ok >= 9 and ls_dense
     assert report(

@@ -20,12 +20,13 @@ def test_partition_basic_properties():
     assert part.n == 5
     assert part.m == 5
     assert part.shape == (10, 5)
-    assert (part.n_state_blocks, part.n_input_blocks) == (2, 2)
+    assert (part.n_col_blocks, part.n_input_blocks) == (2, 2)
     assert part.row_offsets == (0, 2, 5, 6, 10)
     assert part.col_offsets == (0, 2, 5)
     assert part.max_state_block == 3
     assert part.max_input_block == 4
     assert part.max_block_size == 12
+    assert BlockPartition.from_block_sizes((2,), ()).max_input_block == 0
 
 
 def test_partition_validation():
@@ -144,32 +145,22 @@ def test_block_abs_max_matches_a_block_range_loop(state_sizes, input_sizes, seed
 def test_support_pattern_examples():
     part = BlockPartition.from_block_sizes((1, 1), (1,))
     theta = np.zeros((3, 2))
-    assert not support_pattern(theta, part, 1e-8).mask.any()
+    assert not support_pattern(theta, part).mask.any()
 
     theta[0, 0] = 0.3
-    sup = support_pattern(theta, part, 1e-8)
+    sup = support_pattern(theta, part)
     assert sup.mask[0, 0] and sup.count() == 1
 
-    theta2 = np.zeros((3, 2))
-    theta2[2, 1] = 1e-10
-    assert not support_pattern(theta2, part, 1e-8).mask.any()
 
-
-def test_support_pattern_zero_tol_marks_any_nonzero():
+def test_support_pattern_marks_any_nonzero():
     rng = np.random.default_rng(3)
     part = BlockPartition.from_block_sizes((2, 2), (1, 2))
     theta = np.zeros(part.shape)
     theta[3, 1] = 1e-300  # scalar row 3 is block row 1; scalar col 1 is block col 0
-    sup = support_pattern(theta, part, 0.0)
+    sup = support_pattern(theta, part)
     assert sup.mask[1, 0] and sup.count() == 1
     dense = rng.standard_normal(part.shape)
-    assert support_pattern(dense, part, 0.0).mask.all()
-
-
-@pytest.mark.parametrize("zero_tol", [-1.0, np.nan])
-def test_support_pattern_rejects_a_bad_zero_tol(zero_tol):
-    with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
-        support_pattern(np.zeros((3, 2)), BlockPartition.scalar(2, 1), zero_tol)
+    assert support_pattern(dense, part).mask.all()
 
 
 def test_support_shape_mismatch_errors():
@@ -186,6 +177,8 @@ def test_block_support_helpers():
     assert list(sup.nonzero_rows(1)) == [0, 2]
     assert list(sup.zero_rows(2)) == [0]
     assert sup.count() == 4
+    with pytest.raises(ValueError, match="support mask must be 2-D"):
+        BlockSupport(mask.ravel())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

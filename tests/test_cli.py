@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from blocksysid import solver
-from blocksysid.blocks import DEFAULT_ZERO_TOL, support_pattern
+from blocksysid.blocks import support_pattern
 from blocksysid.cli import build_parser, main
 from blocksysid.experiments import ESTIMATOR_NAMES, GENERATOR_PARAMS, build_model, resolve_lambda
 from blocksysid.lti import (
@@ -136,6 +136,7 @@ def test_solve_lambda_zero_matches_least_squares(tmp_path):
         ("sigma_u", [[1.0, "x"], [0.0, 1.0]],
          "field 'sigma_u' must be a rectangular array of finite numbers"),
         ("B", [[1.0]], "B must be 4x2, got (1, 1)"),
+        ("n", 5, "fields n/m disagree with the block sizes"),
     ],
 )
 def test_check_names_a_bad_size_in_the_model(tmp_path, capsys, field, value, message):
@@ -243,10 +244,9 @@ def test_solve_and_sweep_agree_on_one_point(tmp_path, capsys, estimator):
         # the sweep leaves least squares' weight empty; solve writes the 0 it is certified at
         assert doc["lambda_d"] == (float(row["lambda_d"]) if row["lambda_d"] else 0.0)
         theta = np.asarray(doc["theta_hat"])
-        zero_tol = 0.0 if estimator == "least_squares" else DEFAULT_ZERO_TOL
-        support = support_pattern(theta, model.partition, zero_tol)
+        support = support_pattern(theta, model.partition)
         assert np.array_equal(support.mask, np.asarray(doc["support_mask"], dtype=bool))
-        truth = support_pattern(model.stacked(), model.partition, 0.0)
+        truth = support_pattern(model.stacked(), model.partition)
         assert mismatch_error(support, truth) == int(row["mismatch"])
         assert error_norms(theta, model.stacked()).linf_elementwise == float(row["linf"])
 

@@ -83,6 +83,13 @@ def test_config_validation():
     # a bare string must not be split into one-letter estimator names
     with pytest.raises(ValueError, match="estimators must be a list"):
         small_config(estimators="block_reg")
+    for name in ("T_list", "d_list", "seeds", "estimators"):
+        with pytest.raises(ValueError, match="T_list, d_list, seeds and estimators must be nonempty"):
+            small_config(**{name: []})
+    with pytest.raises(ValueError, match="generator must be a mapping with a 'kind' field"):
+        small_config(generator=["synthetic"])
+    with pytest.raises(ValueError, match=r"bad lambda_mode 0\.5: expected 'schedule' or 'fixed:<number>'"):
+        small_config(lambda_mode=0.5)
 
 
 def test_resolve_lambda_modes():
@@ -176,6 +183,10 @@ def test_config_from_json_file_diagnostics(tmp_path):
                                  "d_list": [10], "seeds": [0]}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(short))}: every horizon must be at least 2$"):
         ExperimentConfig.from_json_file(str(short))
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(array))}: expected a JSON object$"):
+        ExperimentConfig.from_json_file(str(array))
 
 
 def test_horizon_sweep_records_growing_kappa():

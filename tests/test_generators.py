@@ -55,10 +55,15 @@ def test_synthetic_determinism_and_errors():
     a = gen_synthetic(20, 2, seed=5)
     b = gen_synthetic(20, 2, seed=5)
     assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
-    with pytest.raises(ValueError):
-        gen_synthetic(4, 2, seed=0)  # band does not fit
-    with pytest.raises(ValueError):
-        gen_synthetic(6, 2, seed=0)  # band fits, extras do not
+    with pytest.raises(ValueError, match="band width must be nonnegative"):
+        gen_synthetic(4, -1, seed=0)
+    # a middle row holds 2w+1 band entries and w off-band ones, so n >= 3w+1
+    for n, w in ((3, 1), (4, 2), (6, 2)):
+        message = rf"n={n} too small for band width w={w}: need n >= {3 * w + 1}$"
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic(n, w, seed=0)
+    for n, w in ((4, 1), (7, 2)):
+        assert gen_synthetic(n, w, seed=0).n == n
 
 
 def test_mass_spring_two_masses_coupling():
@@ -142,3 +147,8 @@ def test_multi_agent_validation():
         gen_multi_agent(5, 5, 2, 2, dt=0.1, seed=0)
     with pytest.raises(ValueError):
         gen_multi_agent(5, 2, 2, 2, dt=-0.1, seed=0)
+    with pytest.raises(ValueError, match="need at least one agent"):
+        gen_multi_agent(0, 0, 2, 2, dt=0.1, seed=0)
+    for state_size, input_size in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="agent block sizes must be positive"):
+            gen_multi_agent(3, 1, state_size, input_size, dt=0.1, seed=0)

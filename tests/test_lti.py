@@ -77,6 +77,14 @@ def test_model_validation():
             sigma_w=eye2,
             partition=part,
         )
+    with pytest.raises(ValueError, match=r"sigma_u must be 1x1, got \(2, 2\)"):
+        SystemModel(A=np.eye(2), B=np.ones((2, 1)), sigma_u=eye2, sigma_w=eye2, partition=part)
+    # each array is checked where the model is built, not where it is first used
+    bad = {"sigma_u": [[np.nan]], "A": [[np.nan, 0.0], [0.0, 1.0]], "B": [["x"], [1.0]]}
+    for name, value in bad.items():
+        arrays = {**dict(A=np.eye(2), B=np.ones((2, 1)), sigma_u=eye1, sigma_w=eye2), name: value}
+        with pytest.raises(ValueError, match=f"field '{name}' must be a rectangular array of finite numbers"):
+            SystemModel(**arrays, partition=part)
 
 
 def test_simulate_noiseless_identity_chain():

@@ -26,7 +26,7 @@ def test_orthogonal_design_witness_margin_near_one():
         partition=BlockPartition.scalar(n, n),
     )
     batch = simulate_batch(model, 3, 2000, seed=0)
-    truth = support_pattern(model.stacked(), model.partition, 0.0)
+    truth = support_pattern(model.stacked(), model.partition)
     report = pdw_check(batch, model.partition, lambda_d=0.05, true_support=truth)
     assert report.success
     assert report.gamma_margin > 0.8
@@ -40,6 +40,12 @@ def test_all_true_support_is_vacuous():
     assert report.success
     assert report.gamma_margin == 1.0
     assert all(norms.size == 0 for norms in report.dual_norms)
+    # the empty support skips every restricted solve: the witness is theta = 0,
+    # and on unit blocks each dual norm is one entry of |X^T Y| / (d lambda)
+    report = pdw_check(batch, model.partition, 0.1, BlockSupport(np.zeros((12, 6), dtype=bool)))
+    scaled = np.abs(batch.X.T @ batch.Y / (batch.d * 0.1))
+    assert all(np.array_equal(norms, scaled[:, j]) for j, norms in enumerate(report.dual_norms))
+    assert report.gamma_margin == 1.0 - scaled.max()
 
 
 def test_witness_agrees_with_solver_support():
@@ -50,7 +56,7 @@ def test_witness_agrees_with_solver_support():
         model = gen_synthetic(10, 1, seed=seed)
         batch = simulate_batch(model, 3, 800, seed=seed)
         lam = lambda_schedule(1, 10, 10, 800)
-        truth = support_pattern(model.stacked(), model.partition, 0.0)
+        truth = support_pattern(model.stacked(), model.partition)
         report = pdw_check(standardized(batch), model.partition, lam, truth)
         result = solve_block_regularized(
             batch, model.partition, EstimatorConfig(lambda_d=lam, standardize=True)
@@ -68,7 +74,7 @@ def test_witness_success_implies_no_false_positives():
             model = gen_synthetic(10, 1, seed=seed)
             batch = simulate_batch(model, 3, d, seed=seed)
             lam = lambda_schedule(1, 10, 10, d)
-            truth = support_pattern(model.stacked(), model.partition, 0.0)
+            truth = support_pattern(model.stacked(), model.partition)
             std = standardized(batch)
             report = pdw_check(std, model.partition, lam, truth)
             result = solve_block_regularized(
@@ -85,7 +91,7 @@ def test_witness_failure_matches_recovery_failure_raw():
         model = gen_synthetic(10, 1, seed=seed)
         batch = simulate_batch(model, 3, 200, seed=seed)
         lam = lambda_schedule(1, 10, 10, 200)
-        truth = support_pattern(model.stacked(), model.partition, 0.0)
+        truth = support_pattern(model.stacked(), model.partition)
         report = pdw_check(batch, model.partition, lam, truth)
         result = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=lam))
         assert not report.success
@@ -95,7 +101,7 @@ def test_witness_failure_matches_recovery_failure_raw():
 def test_witness_undefined_on_rank_deficient_restricted_design():
     model = gen_synthetic(8, 1, seed=2)
     part = model.partition
-    truth = support_pattern(model.stacked(), part, 0.0)
+    truth = support_pattern(model.stacked(), part)
     # fewer samples than the largest on-support column count
     k_max = int(truth.mask.sum(axis=0).max())
     batch = simulate_batch(model, 3, max(1, k_max - 2), seed=2)
@@ -106,7 +112,7 @@ def test_witness_undefined_on_rank_deficient_restricted_design():
 def test_witness_reads_only_the_data_and_requires_positive_lambda():
     model = gen_synthetic(6, 1, seed=3)
     batch = simulate_batch(model, 3, 40, seed=3)
-    truth = support_pattern(model.stacked(), model.partition, 0.0)
+    truth = support_pattern(model.stacked(), model.partition)
     stripped = TrajectoryBatch(X=batch.X, Y=batch.Y, W=None)
     # the disturbance is not observable, so the witness must not need it
     r1 = pdw_check(stripped, model.partition, 0.1, truth)
@@ -117,6 +123,8 @@ def test_witness_reads_only_the_data_and_requires_positive_lambda():
     for lam in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="witness"):
             pdw_check(batch, model.partition, lam, truth)
+    with pytest.raises(ValueError, match="support mask shape does not match the partition"):
+        pdw_check(batch, model.partition, 0.1, BlockSupport(truth.mask[:, :-1]))
 
 
 def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks(monkeypatch):
@@ -128,8 +136,8 @@ def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks(monkeypatch):
     part = model.partition
     d = 800
     batch = standardized(simulate_batch(model, 3, d, seed=2))
-    lam = lambda_schedule(part.max_block_size, part.n_state_blocks, part.n_input_blocks, d)
-    truth = support_pattern(model.stacked(), part, 0.0)
+    lam = lambda_schedule(part.max_block_size, part.n_col_blocks, part.n_input_blocks, d)
+    truth = support_pattern(model.stacked(), part)
     with monkeypatch.context() as patch:  # the tighter tolerance is for this solve, not the witness's
         patch.setattr(solver, "KKT_TOL", 1e-9)
         full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
@@ -147,7 +155,7 @@ def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks(monkeypatch):
 def test_witness_deterministic():
     model = gen_synthetic(8, 1, seed=4)
     batch = simulate_batch(model, 3, 100, seed=4)
-    truth = support_pattern(model.stacked(), model.partition, 0.0)
+    truth = support_pattern(model.stacked(), model.partition)
     r1 = pdw_check(batch, model.partition, 0.2, truth)
     r2 = pdw_check(batch, model.partition, 0.2, truth)
     assert r1.gamma_margin == r2.gamma_margin

@@ -53,6 +53,8 @@ def test_projection_rejects_bad_radius():
         project_l1_ball(np.array([1.0]), -1.0)
     with pytest.raises(ValueError, match="radius must be positive"):
         project_l1_ball(np.array([1.0]), np.nan)
+    with pytest.raises(ValueError, match="expected a 1-D vector"):
+        project_l1_ball(np.ones((2, 2)), 1.0)
 
 
 @pytest.mark.parametrize("tau", [-1.0, np.nan])

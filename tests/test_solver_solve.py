@@ -313,7 +313,7 @@ def test_step_respects_the_largest_gram_eigenvalue(monkeypatch):
     lam_max = np.linalg.norm(X, 2) ** 2 / batch.d
     steps = []
 
-    def record_step(Gmat, c, L, cfg, groups):
+    def record_step(Gmat, c, L, lam, groups):
         steps.append(L)
         k = c.shape[0]
         return np.zeros_like(c), np.zeros(k, dtype=int), np.zeros(k)
@@ -410,9 +410,9 @@ def test_least_squares_is_dense_on_sparse_truth():
     model = gen_synthetic(10, 1, seed=12)
     batch = simulate_batch(model, 3, 40, seed=12)
     theta = solve_least_squares(batch)
-    truth = support_pattern(model.stacked(), model.partition, 0.0)
+    truth = support_pattern(model.stacked(), model.partition)
     off = ~truth.mask
-    ls_support = support_pattern(theta, model.partition, 0.0)
+    ls_support = support_pattern(theta, model.partition)
     assert ls_support.mask.all()
     assert (theta[np.repeat(off, 1, axis=0)] != 0.0).all()
 

@@ -110,6 +110,10 @@ def test_incoherence_singular_on_support_errors():
     sigma = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="incoherence undefined"):
         mutual_incoherence(sigma, part, support)
+    with pytest.raises(ValueError, match=r"covariance must be 2x2, got \(3, 3\)"):
+        mutual_incoherence(np.eye(3), part, support)
+    with pytest.raises(ValueError, match="support mask shape does not match the partition"):
+        mutual_incoherence(np.eye(2), part, BlockSupport(np.array([[True, False]])))
 
 
 def test_min_block_magnitude_examples():
@@ -129,6 +133,10 @@ def test_min_block_magnitude_examples():
 
 def test_lambda_schedule_values():
     assert lambda_schedule(1, 1, 0, 2) == pytest.approx(1.0)
+    for args, message in (((1, 1, 0, 0), "d must be at least 1"), ((0, 1, 0, 2), "D must be at least 1"),
+                          ((1, 0, 0, 2), "need at least one block")):
+        with pytest.raises(ValueError, match=message):
+            lambda_schedule(*args)
     assert lambda_schedule(1, 100, 100, 360) == pytest.approx(0.18706, abs=5e-6)
     # 1/sqrt(d) homogeneity
     assert lambda_schedule(3, 5, 5, 400) == pytest.approx(lambda_schedule(3, 5, 5, 100) / 2.0)
@@ -207,3 +215,8 @@ def test_block_size_exponents_reported():
     report = check_assumptions(model, 3)
     assert report.alpha_n == pytest.approx(math.log(5) / math.log(20))
     assert report.alpha_m == pytest.approx(math.log(5) / math.log(20))
+    # one row block: log of the block count is 0, so the exponents are undefined
+    single = SystemModel(A=0.5 * np.eye(2), B=np.zeros((2, 0)), sigma_u=np.zeros((0, 0)), sigma_w=np.eye(2),
+                         partition=BlockPartition.from_block_sizes((2,), ()))
+    report = check_assumptions(single, 3)
+    assert math.isnan(report.alpha_n) and math.isnan(report.alpha_m)
