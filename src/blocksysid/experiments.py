@@ -20,12 +20,13 @@ from .lti import (
     SystemModel,
     TrajectoryBatch,
     _regression_batch,
+    _simulate_horizons,
+    _synthetic_sizes,
     eigen_ratio,
     gen_mass_spring,
     gen_multi_agent,
     gen_synthetic,
     read_json_object,
-    simulate_batch,
 )
 from .metrics import _error_report, _op_norm, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
@@ -125,7 +126,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 def _generator_params(generator) -> dict:
     """A generator mapping's parameters, checked against its kind, with its defaults filled in.
 
-    Counts come back as ints, and dt as a finite float.
+    Counts come back as ints, and dt as a finite float.  Synthetic sizes
+    also pass the generator's own size rule.
     """
     if not isinstance(generator, dict) or "kind" not in generator:
         raise ValueError("generator must be a mapping with a 'kind' field")
@@ -148,6 +150,11 @@ def _generator_params(generator) -> dict:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
         else:
             params[key] = float(value)
+    if kind == "synthetic":
+        try:
+            _synthetic_sizes(params["n"], params["w"])
+        except ValueError as err:
+            raise ValueError(f"generator {kind!r}: {err}") from None
     return {**optional, **params}
 
 
@@ -236,12 +243,15 @@ def _record(
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Run every sweep point and return the records in config order.
 
-    The model, its true parameter, support and operator norm, and its
-    recovery conditions depend on the seed and the horizon only, so they are
-    computed once and shared by every trajectory count.  So is the batch:
-    one per (T, seed), simulated at the largest d and released before the
-    next, serves every d with its first d rows of X and W and a Y of their
-    own (see :func:`simulate_batch`).
+    The model, its true parameter, support and operator norm depend on the
+    seed only, so they are computed once and shared by every horizon and
+    trajectory count.  One simulation per seed, at the largest d, runs
+    through its distinct horizons in ascending order (see
+    :func:`lti._simulate_horizons`).  Each horizon's batch serves every d
+    with its first d rows of X and W and a Y of their own (see
+    :func:`lti.simulate_batch`), and every config index with that horizon, as
+    do its recovery conditions.  Every view of it is released before the
+    next horizon is drawn over its X and W.
     """
     d_max = max(config.d_list)
     points = {}
@@ -249,7 +259,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
         model = build_model(config.generator, seed)
         theta_star = model.stacked()
         truth = (theta_star, support_pattern(theta_star, model.partition), _op_norm(theta_star))
-        for i, T in enumerate(config.T_list):
+        for T, full in _simulate_horizons(model, config.T_list, d_max, seed):
             assume = check_assumptions(model, T)
             fixed = dict(
                 generator=config.generator["kind"],
@@ -261,12 +271,13 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
                 kappa=eigen_ratio(assume.lambda_min, assume.lambda_max),
                 gamma=assume.gamma,
             )
-            full = simulate_batch(model, T, d_max, seed)
             for j, d in enumerate(config.d_list):
                 batch = full if d == d_max else _regression_batch(full.X[:d], full.W[:d], theta_star)
-                points[i, j, k] = [
+                records = [
                     _record(config, model, truth, fixed, estimator, batch) for estimator in config.estimators
                 ]
+                for i in (i for i, t in enumerate(config.T_list) if t == T):
+                    points[i, j, k] = records
             del full, batch
     return [rec for key in sorted(points) for rec in points[key]]
 

@@ -222,7 +222,7 @@ class _SpawnedState:
 
 
 def _noise_scaling(model: SystemModel, T: int) -> tuple[list, int]:
-    """(columns of the normals, noise factor) pairs for simulate_batch, and its chunk.
+    """(columns of the normals, noise factor) pairs for the simulator, and its chunk for T rows a trajectory.
 
     One pair covers both factors when both are diagonal.  The chunk's normals,
     step vectors and dense-factor product fit in ``SCRATCH_BUDGET_BYTES``.
@@ -243,15 +243,17 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     order.  X and W at d are the first d rows of X and W at a larger d; Y is
     not, since ``Y = X @ theta_star + W`` is one matrix product whose bits
     depend on the row count.  So one batch at the largest d serves every
-    smaller d through ``_regression_batch`` of its first d rows of X and W,
-    which is how a sweep simulates each (T, seed) once.  ``_spawned_states``
-    hashes the seed words of all d children at once, and numpy's PCG64
-    seeds itself from them as it would from the child.  Within a trajectory
-    the draws are chronological, which keeps the stored last-step
-    disturbance independent of everything that enters the design row.
+    smaller d through ``_regression_batch`` of its first d rows of X and W.
+    This is the one-horizon call of ``_simulate_horizons``, through which a
+    sweep simulates each seed once for all of its horizons.
+    ``_spawned_states`` hashes the seed words of all d children at once, and
+    numpy's PCG64 seeds itself from them as it would from the child.  Within
+    a trajectory the draws are chronological, which keeps the stored
+    last-step disturbance independent of everything that enters the design
+    row.
 
     Trajectories run in chunks whose scratch fits ``SCRATCH_BUDGET_BYTES``
-    (``_noise_scaling``), in buffers allocated once per call.  Each
+    (``_noise_scaling``), in buffers allocated once per horizon.  Each
     trajectory fills its T rows of ``[u normals, w normals]`` with one draw;
     the noise factors scale them in place, and u and w are views of them.
     Each step forms ``A x`` and ``B u`` and adds ``B u``, then ``w``, in the
@@ -266,28 +268,71 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     exact identity; a dense factor, as a loaded model can have, keeps the
     matrix-vector product.
     """
-    T, d, seed = (_int_value(name, value) for name, value in (("T", T), ("d", d), ("seed", seed)))
-    if T < 2:
+    return next(_simulate_horizons(model, (T,), d, seed))[1]
+
+
+def _simulate_horizons(model: SystemModel, horizons, d: int, seed: int):
+    """Yield ``(T, simulate_batch(model, T, d, seed))`` for each distinct T, ascending, from one run.
+
+    Each later horizon resumes every trajectory where the one before stopped:
+    it restores the trajectory's PCG64 ``state`` and ``inc``, two 128-bit
+    Python ints that every horizon but the last keeps, and steps on from
+    ``x[T_prev] = A x + B u + w`` of the previous last transition, which it
+    then overwrites in X and W.  So a caller drops every view of a batch
+    before it asks for the next.
+    """
+    horizons = sorted({_int_value("T", T) for T in horizons})
+    d, seed = _int_value("d", d), _int_value("seed", seed)
+    if horizons[0] < 2:
         raise ValueError("T must be at least 2 (the state part of the design degenerates)")
     if not 1 <= d <= _MASK32:
         raise ValueError(f"d must lie in [1, 2**32 - 1] (one spawn-key word), got {d}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    n, m = model.n, model.m
-    scaling, chunk = _noise_scaling(model, T)
+    np.random.bit_generator.ISeedSequence.register(_SpawnedState)
+    X, W = np.empty((d, model.n + model.m)), np.empty((d, model.n))
+    words, saved = _spawned_states(seed, d), [[None] * d, [None] * d] if len(horizons) > 1 else None
+    T_prev = 0
+    for T in horizons:
+        _advance(model, X, W, T_prev, T, words, saved, keep=T < horizons[-1])
+        words, T_prev = None, T
+        yield T, _regression_batch(X, W, model.stacked())
+
+
+def _advance(model: SystemModel, X, W, T_prev: int, T: int, words, saved, keep: bool) -> None:
+    """Run every trajectory from horizon T_prev to T, in place in X and W.
+
+    New trajectories (T_prev = 0) start at x = 0 from their seed ``words``.
+    Resumed ones restore their PCG64 state from ``saved`` and first step
+    from their last transition at T_prev, read back from X and W.  With
+    ``keep``, ``saved`` receives each trajectory's state after its draw.
+    """
+    n, m, d, rows_new = model.n, model.m, len(X), T - T_prev
+    scaling, chunk = _noise_scaling(model, rows_new)
     # (k, ..., 1) stacks: matmul runs one gemv per trajectory, which matches
     # ``M @ v`` bit for bit where a gemm across the chunk would not
-    normals = np.empty((min(chunk, d), T, n + m))
+    normals = np.empty((min(chunk, d), rows_new, n + m))
     x, x_new, Bu = np.empty((3, len(normals), n, 1))
-    states = _spawned_states(seed, d)
-    np.random.bit_generator.ISeedSequence.register(_SpawnedState)
-    X = np.empty((d, n + m))
-    W = np.empty((d, n))
+    # one generator, set to each resumed trajectory's state in turn; standard_normal
+    # draws whole 64-bit words, so no half word is ever pending
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    states, incs = saved or (None, None)
     for start in range(0, d, chunk):
         k = min(chunk, d - start)
         z = normals[:k]
-        for row, words in zip(z, states[start : start + k]):
-            np.random.Generator(np.random.PCG64(_SpawnedState(words))).standard_normal(out=row)
+        for i, row in enumerate(z, start):
+            if T_prev:
+                pcg["state"] = {"state": states[i], "inc": incs[i]}
+                bits.state = pcg
+            else:
+                bits = np.random.PCG64(_SpawnedState(words[i]))
+                rng = np.random.Generator(bits)
+            rng.standard_normal(out=row)
+            if keep:
+                state = bits.state["state"]
+                states[i], incs[i] = state["state"], state["inc"]
         for cols, fac in scaling:
             zc = z[:, :, cols]
             if fac.ndim == 2:
@@ -295,19 +340,20 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
             else:
                 np.multiply(zc, fac, out=zc)
                 zc += 0.0  # the gemv sums to +0 where diag * z gives -0
+        rows = slice(start, start + k)
         u, w = z[:, :, :m, None], z[:, :, m:, None]
         xs, xs_new, bu = x[:k], x_new[:k], Bu[:k]
-        xs.fill(0.0)
-        for t in range(T - 1):
+        xs[...] = X[rows, :n, None] if T_prev else 0.0
+        for t in range(-1 if T_prev else 0, rows_new - 1):
+            # step -1 goes on from the last transition at T_prev, in X and W
+            ut, wt = (X[rows, n:, None], W[rows, :, None]) if t < 0 else (u[:, t], w[:, t])
             np.matmul(model.A, xs, out=xs_new)
-            xs_new += np.matmul(model.B, u[:, t], out=bu)
-            xs_new += w[:, t]
+            xs_new += np.matmul(model.B, ut, out=bu)
+            xs_new += wt
             xs, xs_new = xs_new, xs
-        rows = slice(start, start + k)
         X[rows, :n] = xs[:, :, 0]
-        X[rows, n:] = z[:, T - 1, :m]
-        W[rows] = z[:, T - 1, m:]
-    return _regression_batch(X, W, model.stacked())
+        X[rows, n:] = z[:, -1, :m]
+        W[rows] = z[:, -1, m:]
 
 
 def _regression_batch(X: np.ndarray, W: np.ndarray, theta_star: np.ndarray) -> TrajectoryBatch:
@@ -381,6 +427,14 @@ def _forward_euler(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> tuple[np.ndar
     return np.eye(A_c.shape[0]) + dt * A_c, dt * B_c
 
 
+def _synthetic_sizes(n: int, w: int) -> None:
+    """The size rule of ``gen_synthetic``, which a sweep config also checks when it loads."""
+    if w < 0:
+        raise ValueError("band width must be nonnegative")
+    if n < 3 * w + 1:  # a middle row has 2w+1 band entries and w off-band ones
+        raise ValueError(f"n={n} too small for band width w={w}: need n >= {3 * w + 1}")
+
+
 def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     """Banded random system with m = n and unit blocks.
 
@@ -389,10 +443,7 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     off-band, off-diagonal entries of +/-0.3 at positions drawn without
     replacement.
     """
-    if w < 0:
-        raise ValueError("band width must be nonnegative")
-    if n < 3 * w + 1:  # a middle row has 2w+1 band entries and w off-band ones
-        raise ValueError(f"n={n} too small for band width w={w}: need n >= {3 * w + 1}")
+    _synthetic_sizes(n, w)
     rng = np.random.default_rng(seed)
     A = np.eye(n)
     B = np.eye(n)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksysid import experiments
+from blocksysid import experiments, lti
 from blocksysid.experiments import (
     CSV_COLUMNS,
     ESTIMATOR_NAMES,
@@ -25,7 +25,7 @@ from blocksysid.experiments import (
     run_experiment,
     write_records_csv,
 )
-from blocksysid.lti import simulate_batch
+from blocksysid.lti import _simulate_horizons, simulate_batch
 from blocksysid.metrics import error_norms
 from blocksysid.theory import check_assumptions, lambda_schedule
 
@@ -187,6 +187,13 @@ def test_config_from_json_file_diagnostics(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ValueError, match=f"^{re.escape(str(array))}: expected a JSON object$"):
         ExperimentConfig.from_json_file(str(array))
+    # a size the generator rejects fails when the config loads, with the generator's own message
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"generator": {"kind": "synthetic", "n": 0, "w": 1}, "T_list": [3],
+                                 "d_list": [10], "seeds": [0]}))
+    message = "generator 'synthetic': n=0 too small for band width w=1: need n >= 4"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(small))}: {re.escape(message)}$"):
+        ExperimentConfig.from_json_file(str(small))
 
 
 def test_horizon_sweep_records_growing_kappa():
@@ -213,6 +220,11 @@ SHARED_BATCH_SWEEPS = {
         ("multi_agent", {"kind": "multi_agent", "agents": 6, "degree": 2, "state_size": 3, "input_size": 3}),
     )
 }
+# One run per seed through horizons given out of order and repeated.
+SHARED_BATCH_SWEEPS["horizons"] = dict(
+    generator={"kind": "synthetic", "n": 6, "w": 1}, T_list=[10, 3, 5, 3], d_list=[200, 8, 50], seeds=[1, 0],
+    estimators=["block_reg", "least_squares"],
+)
 
 
 @pytest.mark.parametrize("kind", sorted(SHARED_BATCH_SWEEPS))
@@ -223,14 +235,22 @@ def test_sweep_equals_per_point_simulation(kind):
 
 def test_sweep_simulates_each_horizon_and_seed_once_and_frees_the_batch(monkeypatch):
     config = ExperimentConfig.from_dict(SHARED_BATCH_SWEEPS["synthetic"])
-    calls, refs, built, checked = [], [], [], []
+    runs, drawn, refs, built, checked = [], [], [], [], []
 
-    def recording(model, T, d, seed):
-        # the previous batch, and the X its smaller points view, are gone
-        assert all(ref() is None for ref in refs)
-        batch = simulate_batch(model, T, d, seed)
-        calls.append((T, d, seed))
-        refs.extend((weakref.ref(batch), weakref.ref(batch.X)))
+    def recording(model, horizons, d, seed):
+        runs.append((tuple(horizons), d, seed))
+        for T, batch in _simulate_horizons(model, horizons, d, seed):
+            drawn.append((T, seed))
+            refs.append(weakref.ref(batch))
+            yield T, batch
+            del batch
+            # the batch, and every smaller batch that views its X and W, are
+            # gone before the next horizon is drawn over them
+            assert all(ref() is None for ref in refs)
+
+    def regression_batch(X, W, theta_star):
+        batch = lti._regression_batch(X, W, theta_star)
+        refs.extend((weakref.ref(batch), weakref.ref(X), weakref.ref(W)))
         return batch
 
     def building(generator, seed):
@@ -242,13 +262,16 @@ def test_sweep_simulates_each_horizon_and_seed_once_and_frees_the_batch(monkeypa
         checked.append((T, model))
         return check_assumptions(model, T)
 
-    monkeypatch.setattr(experiments, "simulate_batch", recording)
+    monkeypatch.setattr(experiments, "_simulate_horizons", recording)
+    monkeypatch.setattr(experiments, "_regression_batch", regression_batch)
     monkeypatch.setattr(experiments, "build_model", building)
     monkeypatch.setattr(experiments, "check_assumptions", checking)
     run_experiment(config)
+    # one simulation run per seed, at the largest d, through each horizon once
+    assert sorted(runs) == [(tuple(config.T_list), 400, seed) for seed in sorted(config.seeds)]
     per_horizon_and_seed = sorted((T, seed) for T in config.T_list for seed in config.seeds)
-    assert sorted(calls) == [(T, 400, seed) for T, seed in per_horizon_and_seed]
-    assert all(ref() is None for ref in refs)
+    assert sorted(drawn) == per_horizon_and_seed
+    assert len(refs) > len(drawn) and all(ref() is None for ref in refs)
     # one model per seed, and one check of its recovery conditions per (T, seed)
     assert sorted(seed for seed, _ in built) == sorted(config.seeds)
     seed_of = {id(model): seed for seed, model in built}

@@ -18,6 +18,7 @@ from blocksysid.lti import (
     SCRATCH_BUDGET_BYTES,
     _noise_factor,
     _noise_scaling,
+    _simulate_horizons,
     _spawned_states,
     SystemModel,
     TrajectoryBatch,
@@ -27,6 +28,7 @@ from blocksysid.lti import (
     gen_synthetic,
     load_batch_csv,
     load_model,
+    model_from_dict,
     model_to_dict,
     save_batch_csv,
     simulate_batch,
@@ -171,6 +173,21 @@ def test_simulate_scratch_stays_within_the_budget(model):
         tracemalloc.stop()
     scratch = peak - (batch.X.nbytes + batch.Y.nbytes + batch.W.nbytes + 4 * 8 * d)
     assert scratch <= SCRATCH_BUDGET_BYTES + 8 * np.getbufsize() + 4096
+    # A run through two horizons reuses X and W, takes each horizon's scratch
+    # in turn, and keeps every trajectory's PCG64 state and increment between
+    # them: two list slots and two ints of at most 128 bits.
+    del batch
+    state_bytes = 2 * (8 + sys.getsizeof(2**128 - 1))
+    tracemalloc.start()
+    try:
+        for _, batch in _simulate_horizons(model, (4, T), d, seed=1):
+            nbytes = batch.X.nbytes + batch.Y.nbytes + batch.W.nbytes
+            del batch
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - (nbytes + 4 * 8 * d)
+    assert scratch <= SCRATCH_BUDGET_BYTES + 8 * np.getbufsize() + 4096 + state_bytes * d
 
 
 def test_simulate_rejects_bad_arguments():
@@ -304,6 +321,40 @@ def test_simulate_matches_per_trajectory_reference(model, T):
         for got, want in zip((batch.X, batch.Y, batch.W), simulate_batch_reference(model, T, d, seed=seed)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "horizons", [[3, 10], [10, 3, 5, 3], [2, 3, 4]], ids=lambda horizons: "-".join(map(str, horizons))
+)
+@pytest.mark.parametrize(
+    "model",
+    [
+        gen_synthetic(30, 1, seed=0),
+        model_from_dict(json.loads(json.dumps(model_to_dict(_dense_noise_model())))),
+        SystemModel(
+            A=0.5 * np.eye(3), B=np.zeros((3, 0)), sigma_u=np.zeros((0, 0)), sigma_w=np.eye(3),
+            partition=BlockPartition.from_block_sizes((1, 2), ()),
+        ),
+    ],
+    ids=["synthetic", "loaded_dense_noise", "no_inputs"],
+)
+def test_simulate_horizons_equal_one_simulation_per_horizon(model, horizons):
+    # one run through the distinct horizons, ascending, gives each the bits of
+    # its own simulation: resumed draws, the step on from the last transition
+    # and X and W overwritten in place.  One new row per trajectory takes the
+    # largest chunk of any horizon, so the larger d spans more than two
+    # chunks at every horizon and is not a multiple of that chunk.
+    chunk = _noise_scaling(model, 1)[1]
+    for d, seed in ((5, 3), (2 * chunk + 3, 2**64 + 1)):
+        seen = []
+        for T, batch in _simulate_horizons(model, horizons, d, seed):
+            want = simulate_batch(model, T, d, seed)
+            for got, ref in zip((batch.X, batch.Y, batch.W), (want.X, want.Y, want.W)):
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+            seen.append(T)
+            del batch
+        assert seen == sorted(set(horizons))
 
 
 def test_simulate_covariance_matches_analytic():
