@@ -6,10 +6,9 @@ import argparse
 import dataclasses
 import sys
 
-from .lti import load_batch_csv, load_model, model_to_dict, simulate_batch, write_json
+from .lti import GENERATOR_PARAMS, load_batch_csv, load_model, model_to_dict, simulate_batch, write_json
 from .experiments import (
     ESTIMATOR_NAMES,
-    GENERATOR_PARAMS,
     ExperimentConfig,
     _parse_lambda_mode,
     build_model,
@@ -25,7 +24,7 @@ def _param_help(name: str, text: str) -> str:
     """Help for a gen flag: the kinds that take the parameter, with their defaults."""
     uses = [
         kind + (f" (default {optional[name]})" if name in optional else "")
-        for kind, (required, optional) in GENERATOR_PARAMS.items()
+        for kind, (required, optional, _) in GENERATOR_PARAMS.items()
         if name in required or name in optional
     ]
     return f"{text}: {', '.join(uses)}"
@@ -43,7 +42,7 @@ def _lambda_arg(text: str) -> str:
 
 
 def _cmd_gen(args) -> int:
-    required, optional = GENERATOR_PARAMS[args.generator]
+    required, optional, _ = GENERATOR_PARAMS[args.generator]
     gen = {key: getattr(args, key) for key in (*required, *optional) if getattr(args, key) is not None}
     write_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
     return 0

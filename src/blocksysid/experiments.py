@@ -12,16 +12,18 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 
-from .blocks import BlockPartition, _int_tuple, _int_value, support_pattern
+from .blocks import BlockPartition, _int_tuple, support_pattern
 from .lti import (
     SystemModel,
     TrajectoryBatch,
+    _generator_params,
+    _horizon,
     _regression_batch,
+    _seed,
     _simulate_horizons,
-    _synthetic_sizes,
+    _trajectory_count,
     eigen_ratio,
     gen_mass_spring,
     gen_multi_agent,
@@ -32,13 +34,6 @@ from .metrics import _error_report, _op_norm, mismatch_error, rme, rst
 from .solver import EstimatorConfig, LeastSquaresUndefined, solve_block_regularized, solve_least_squares
 from .theory import check_assumptions, lambda_schedule
 
-# Parameters of each generator kind: the required names, then the optional
-# names with their defaults.  All but dt are counts.
-GENERATOR_PARAMS = {
-    "synthetic": (("n", "w"), {}),
-    "mass_spring": (("masses",), {"dt": 0.2}),
-    "multi_agent": (("agents", "degree"), {"state_size": 5, "input_size": 5, "dt": 0.2}),
-}
 ESTIMATOR_NAMES = ("block_reg", "least_squares")
 
 
@@ -56,8 +51,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _generator_params(self.generator)
-        for name in ("T_list", "d_list", "seeds"):
-            object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
+        for name, rule in (("T_list", _horizon), ("d_list", _trajectory_count), ("seeds", _seed)):
+            values = _int_tuple(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(rule(v, f"every entry of {name}") for v in values))
         if not isinstance(self.standardize, bool):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
         if not isinstance(self.estimators, (list, tuple)):
@@ -65,12 +61,6 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.T_list or not self.d_list or not self.seeds or not self.estimators:
             raise ValueError("T_list, d_list, seeds and estimators must be nonempty")
-        if any(t < 2 for t in self.T_list):
-            raise ValueError("every horizon must be at least 2")
-        if any(not 1 <= d <= 2**32 - 1 for d in self.d_list):
-            raise ValueError(f"every entry of d_list must lie in [1, 2**32 - 1], got {list(self.d_list)}")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError(f"every entry of seeds must be nonnegative, got {list(self.seeds)}")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(f"unknown estimator {name!r}")
@@ -123,41 +113,6 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _generator_params(generator) -> dict:
-    """A generator mapping's parameters, checked against its kind, with its defaults filled in.
-
-    Counts come back as ints, and dt as a finite float.  Synthetic sizes
-    also pass the generator's own size rule.
-    """
-    if not isinstance(generator, dict) or "kind" not in generator:
-        raise ValueError("generator must be a mapping with a 'kind' field")
-    kind = generator["kind"]
-    if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    required, optional = GENERATOR_PARAMS[kind]
-    params = {k: v for k, v in generator.items() if k != "kind"}
-    for key in required:
-        if key not in params:
-            raise ValueError(f"generator {kind!r}: missing parameter {key!r}")
-    unknown = sorted(set(params) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"generator {kind!r}: unknown parameter(s) {', '.join(map(repr, unknown))}")
-    for key, value in params.items():
-        name = f"generator {kind!r} parameter {key!r}"
-        if key != "dt":
-            params[key] = _int_value(name, value)
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-        else:
-            params[key] = float(value)
-    if kind == "synthetic":
-        try:
-            _synthetic_sizes(params["n"], params["w"])
-        except ValueError as err:
-            raise ValueError(f"generator {kind!r}: {err}") from None
-    return {**optional, **params}
-
-
 def _parse_lambda_mode(mode: str) -> float | None:
     """Returns the fixed weight, or None for the dimension-based schedule."""
     if mode == "schedule":
@@ -184,12 +139,12 @@ def resolve_lambda(mode: str, partition: BlockPartition, d: int) -> float:
 
 def build_model(generator: dict, seed: int) -> SystemModel:
     """Instantiate a benchmark system from a generator description."""
-    params = _generator_params(generator)
+    params, seed = _generator_params(generator), _seed(seed)
     kind = generator["kind"]
     if kind == "synthetic":
         return gen_synthetic(**params, seed=seed)
     if kind == "mass_spring":
-        return gen_mass_spring(N=params["masses"], dt=params["dt"])
+        return gen_mass_spring(**params)
     return gen_multi_agent(**params, seed=seed)
 
 

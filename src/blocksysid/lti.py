@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -235,6 +236,24 @@ def _noise_scaling(model: SystemModel, T: int) -> tuple[list, int]:
     return scaling, max(1, SCRATCH_BUDGET_BYTES // (8 * (T * (n + m + dense_rows) + 3 * n)))
 
 
+def _horizon(T, name: str = "T") -> int:
+    if (T := _int_value(name, T)) < 2:
+        raise ValueError(f"{name} must be at least 2 (the state part of the design degenerates), got {T}")
+    return T
+
+
+def _trajectory_count(d, name: str = "d") -> int:
+    if not 1 <= (d := _int_value(name, d)) <= _MASK32:
+        raise ValueError(f"{name} must lie in [1, 2**32 - 1] (one spawn-key word), got {d}")
+    return d
+
+
+def _seed(seed, name: str = "seed") -> int:
+    if (seed := _int_value(name, seed)) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+    return seed
+
+
 def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryBatch:
     """Simulate d independent trajectories and keep only the last transition.
 
@@ -281,14 +300,8 @@ def _simulate_horizons(model: SystemModel, horizons, d: int, seed: int):
     then overwrites in X and W.  So a caller drops every view of a batch
     before it asks for the next.
     """
-    horizons = sorted({_int_value("T", T) for T in horizons})
-    d, seed = _int_value("d", d), _int_value("seed", seed)
-    if horizons[0] < 2:
-        raise ValueError("T must be at least 2 (the state part of the design degenerates)")
-    if not 1 <= d <= _MASK32:
-        raise ValueError(f"d must lie in [1, 2**32 - 1] (one spawn-key word), got {d}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    horizons = sorted({_horizon(T) for T in horizons})
+    d, seed = _trajectory_count(d), _seed(seed)
     np.random.bit_generator.ISeedSequence.register(_SpawnedState)
     X, W = np.empty((d, model.n + model.m)), np.empty((d, model.n))
     words, saved = _spawned_states(seed, d), [[None] * d, [None] * d] if len(horizons) > 1 else None
@@ -369,8 +382,7 @@ def design_covariance(model: SystemModel, T: int) -> CovarianceReport:
     The state part is driven by the finite-horizon controllability stacks
     ``[A^{T-2} B ... B]`` (inputs) and ``[A^{T-2} ... I]`` (disturbances).
     """
-    if T < 2:
-        raise ValueError("T must be at least 2")
+    T = _horizon(T)
     n, m = model.n, model.m
     A = model.A
     # powers A^0 .. A^{T-2}, highest power leftmost in the stacks
@@ -420,19 +432,66 @@ def _benchmark_model(A: np.ndarray, B: np.ndarray, partition: BlockPartition) ->
     return SystemModel(A, B, np.eye(partition.m), 0.5 * np.eye(partition.n), partition)
 
 
-def _forward_euler(A_c: np.ndarray, B_c: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-Euler discretization (I + dt A_c, dt B_c) of continuous dynamics (A_c, B_c)."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"sampling time dt must be finite and positive, got {dt!r}")
-    return np.eye(A_c.shape[0]) + dt * A_c, dt * B_c
+def _sampling_time(dt) -> None:
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt <= sys.float_info.max:
+        raise ValueError(f"sampling time dt must be a finite, positive number, got {dt!r}")
 
 
-def _synthetic_sizes(n: int, w: int) -> None:
-    """The size rule of ``gen_synthetic``, which a sweep config also checks when it loads."""
+def _synthetic_params(n: int, w: int) -> None:
     if w < 0:
         raise ValueError("band width must be nonnegative")
     if n < 3 * w + 1:  # a middle row has 2w+1 band entries and w off-band ones
         raise ValueError(f"n={n} too small for band width w={w}: need n >= {3 * w + 1}")
+
+
+def _mass_spring_params(masses: int, dt: float) -> None:
+    if masses < 1:
+        raise ValueError("need at least one mass")
+    _sampling_time(dt)
+
+
+def _multi_agent_params(agents: int, degree: int, state_size: int, input_size: int, dt: float) -> None:
+    if agents < 1:
+        raise ValueError("need at least one agent")
+    if degree < 0 or degree >= agents:
+        raise ValueError(f"degree must lie in [0, {agents - 1}]")
+    if state_size < 1 or input_size < 1:
+        raise ValueError("agent block sizes must be positive")
+    _sampling_time(dt)
+
+
+# Each generator kind: its required parameters, its optional ones with their
+# defaults, and the rule on their values that its generator runs first.  Every
+# parameter but the forward-Euler sampling time dt is an integer count.
+GENERATOR_PARAMS = {
+    "synthetic": (("n", "w"), {}, _synthetic_params),
+    "mass_spring": (("masses",), {"dt": 0.2}, _mass_spring_params),
+    "multi_agent": (("agents", "degree"), {"state_size": 5, "input_size": 5, "dt": 0.2}, _multi_agent_params),
+}
+
+
+def _generator_params(generator) -> dict:
+    """A generator mapping's parameters, its kind's defaults filled in, by the rules its generator runs."""
+    if not isinstance(generator, dict) or "kind" not in generator:
+        raise ValueError("generator must be a mapping with a 'kind' field")
+    kind = generator["kind"]
+    if not isinstance(kind, str) or kind not in GENERATOR_PARAMS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    required, defaults, rule = GENERATOR_PARAMS[kind]
+    params = {key: value for key, value in generator.items() if key != "kind"}
+    try:
+        for key in required:
+            if key not in params:
+                raise ValueError(f"missing parameter {key!r}")
+        unknown = sorted(set(params) - set(required) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {', '.join(map(repr, unknown))}")
+        counts = {key: _int_value(f"parameter {key!r}", v) for key, v in params.items() if key != "dt"}
+        params = {**defaults, **params, **counts}
+        rule(**params)
+    except ValueError as err:
+        raise ValueError(f"generator {kind!r}: {err}") from None
+    return params
 
 
 def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
@@ -443,7 +502,7 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     off-band, off-diagonal entries of +/-0.3 at positions drawn without
     replacement.
     """
-    _synthetic_sizes(n, w)
+    _synthetic_params(n, w)
     rng = np.random.default_rng(seed)
     A = np.eye(n)
     B = np.eye(n)
@@ -461,15 +520,15 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     return _benchmark_model(A, B, BlockPartition.scalar(n, n))
 
 
-def gen_mass_spring(N: int, dt: float) -> SystemModel:
-    """Path of N unit masses coupled by unit springs, forward-Euler discretized.
+def gen_mass_spring(masses: int, dt: float) -> SystemModel:
+    """Path of N = ``masses`` unit masses coupled by unit springs, forward-Euler discretized.
 
     Continuous dynamics have positions stacked above velocities; the spring
     coupling is tridiagonal with -2 on the diagonal and 1 off it.  n = 2N
     states, m = N force inputs, unit blocks.
     """
-    if N < 1:
-        raise ValueError("need at least one mass")
+    _mass_spring_params(masses, dt)
+    N = masses
     S = -2.0 * np.eye(N)
     idx = np.arange(N - 1)
     S[idx, idx + 1] = 1.0
@@ -479,16 +538,11 @@ def gen_mass_spring(N: int, dt: float) -> SystemModel:
     A_c[N:, :N] = S
     B_c = np.zeros((2 * N, N))
     B_c[N:, :] = np.eye(N)
-    return _benchmark_model(*_forward_euler(A_c, B_c, dt), BlockPartition.scalar(2 * N, N))
+    return _benchmark_model(np.eye(2 * N) + dt * A_c, dt * B_c, BlockPartition.scalar(2 * N, N))
 
 
 def gen_multi_agent(
-    agents: int,
-    degree: int,
-    state_size: int,
-    input_size: int,
-    dt: float,
-    seed: int,
+    agents: int, degree: int, state_size: int, input_size: int, dt: float, seed: int
 ) -> SystemModel:
     """Network of agents on a random directed graph, forward-Euler discretized.
 
@@ -497,12 +551,7 @@ def gen_multi_agent(
     both A and B.  Populated block entries are drawn uniformly from
     [-0.4, -0.3] union [0.3, 0.4].
     """
-    if agents < 1:
-        raise ValueError("need at least one agent")
-    if degree < 0 or degree >= agents:
-        raise ValueError(f"degree must lie in [0, {agents - 1}]")
-    if state_size < 1 or input_size < 1:
-        raise ValueError("agent block sizes must be positive")
+    _multi_agent_params(agents, degree, state_size, input_size, dt)
     rng = np.random.default_rng(seed)
     n = agents * state_size
     m = agents * input_size
@@ -517,14 +566,10 @@ def gen_multi_agent(
         neighbors = rng.choice(others[others != a], size=degree, replace=False)
         rows = slice(a * state_size, (a + 1) * state_size)
         for b in [a] + sorted(int(x) for x in neighbors):
-            A_c[rows, b * state_size : (b + 1) * state_size] = signed_uniform(
-                (state_size, state_size)
-            )
-            B_c[rows, b * input_size : (b + 1) * input_size] = signed_uniform(
-                (state_size, input_size)
-            )
+            A_c[rows, b * state_size : (b + 1) * state_size] = signed_uniform((state_size, state_size))
+            B_c[rows, b * input_size : (b + 1) * input_size] = signed_uniform((state_size, input_size))
     partition = BlockPartition.from_block_sizes((state_size,) * agents, (input_size,) * agents)
-    return _benchmark_model(*_forward_euler(A_c, B_c, dt), partition)
+    return _benchmark_model(np.eye(n) + dt * A_c, dt * B_c, partition)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import pytest
 from blocksysid import solver
 from blocksysid.blocks import support_pattern
 from blocksysid.cli import build_parser, main
-from blocksysid.experiments import ESTIMATOR_NAMES, GENERATOR_PARAMS, build_model, resolve_lambda
+from blocksysid.experiments import ESTIMATOR_NAMES, build_model, resolve_lambda
 from blocksysid.lti import (
+    GENERATOR_PARAMS,
     TrajectoryBatch,
     load_batch_csv,
     load_model,
@@ -67,13 +68,32 @@ def test_gen_names_a_missing_parameter(tmp_path, capsys, args, missing):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        # the seed rule that a sweep config's seeds follow, not numpy's message, which names no flag
+        (("--generator", "synthetic", "--n", 8, "--w", 1, "--seed", -1), "seed must be nonnegative, got -1"),
+        (("--generator", "mass_spring", "--masses", 0), "generator 'mass_spring': need at least one mass"),
+        (("--generator", "multi_agent", "--agents", 3, "--degree", 3),
+         "generator 'multi_agent': degree must lie in [0, 2]"),
+        (("--generator", "mass_spring", "--masses", 2, "--dt", -1),
+         "generator 'mass_spring': sampling time dt must be a finite, positive number, got -1.0"),
+    ],
+)
+def test_gen_names_a_bad_seed_or_parameter(tmp_path, capsys, args, message):
+    out = tmp_path / "m.json"
+    assert run_cli("gen", *args, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "kind, args",
     [("multi_agent", {"agents": 4, "degree": 1}), ("mass_spring", {"masses": 3})],
 )
 def test_gen_fills_defaults_from_the_table(capsys, kind, args):
     flags = [str(a) for key, value in args.items() for a in (f"--{key}", value)]
     assert run_cli("gen", "--generator", kind, *flags, "--seed", 3) == 0
-    _, defaults = GENERATOR_PARAMS[kind]
+    _, defaults, _ = GENERATOR_PARAMS[kind]
     expected = model_to_dict(build_model({"kind": kind, **args, **defaults}, seed=3))
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
@@ -83,7 +103,7 @@ def test_gen_flags_match_the_generator_table():
     flags = {a.dest: a for a in sub.choices["gen"]._actions}
     for name in ("help", "generator", "seed", "out"):
         del flags[name]
-    params = {name for required, optional in GENERATOR_PARAMS.values() for name in (*required, *optional)}
+    params = {name for required, optional, _ in GENERATOR_PARAMS.values() for name in (*required, *optional)}
     assert set(flags) == params
     for name, action in flags.items():
         assert action.default is None, name  # an unset flag leaves the table's default in force

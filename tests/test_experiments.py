@@ -14,10 +14,8 @@ from blocksysid import experiments, lti
 from blocksysid.experiments import (
     CSV_COLUMNS,
     ESTIMATOR_NAMES,
-    GENERATOR_PARAMS,
     ExperimentConfig,
     ExperimentRecord,
-    _generator_params,
     build_model,
     estimate,
     records_to_csv,
@@ -25,7 +23,7 @@ from blocksysid.experiments import (
     run_experiment,
     write_records_csv,
 )
-from blocksysid.lti import _simulate_horizons, simulate_batch
+from blocksysid.lti import GENERATOR_PARAMS, _generator_params, _simulate_horizons, simulate_batch
 from blocksysid.metrics import error_norms
 from blocksysid.theory import check_assumptions, lambda_schedule
 
@@ -51,8 +49,9 @@ def test_config_validation():
         small_config(generator={"kind": "nope"})
     with pytest.raises(ValueError, match="parameter 'w' must be an integer"):
         small_config(generator={"kind": "synthetic", "n": 8, "w": True})
-    with pytest.raises(ValueError, match="horizon"):
-        small_config(T_list=[1])
+    message = "config: every entry of T_list must be at least 2 (the state part of the design degenerates), got 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_config(T_list=[3, 1])
     with pytest.raises(ValueError, match="unknown estimator"):
         small_config(estimators=["ridge"])
     with pytest.raises(ValueError, match="lambda_mode"):
@@ -113,19 +112,80 @@ def test_build_model_dispatch():
     # a float count must not be truncated
     with pytest.raises(ValueError, match="parameter 'n' must be an integer"):
         build_model({"kind": "synthetic", "n": 8.9, "w": 1}, seed=0)
-    # a bool, string or non-finite sampling time must not be read as a number
-    for dt in (True, "0.5", float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="parameter 'dt' must be a finite number"):
+    # a bool, string, non-finite or nonpositive sampling time must not be read as a number
+    for dt in (True, "0.5", float("nan"), float("inf"), 0, -0.5, 10**400):
+        message = f"generator 'mass_spring': sampling time dt must be a finite, positive number, got {dt!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_model({"kind": "mass_spring", "masses": 3, "dt": dt}, seed=0)
+    # the generator seed follows the rule of a sweep config's seeds
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        build_model({"kind": "synthetic", "n": 8, "w": 1}, seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        build_model({"kind": "multi_agent", "agents": 4, "degree": 1}, seed=1.5)
+
+
+# Generator mappings of every kind with small values, bad ones included: counts
+# from -1 up and of the wrong type, and every kind of sampling time that the
+# rule must tell apart.  The optional parameters are left out or given.
+@st.composite
+def generator_mappings(draw):
+    kind = draw(st.sampled_from(sorted(GENERATOR_PARAMS)))
+    required, defaults, _ = GENERATOR_PARAMS[kind]
+    names = [*required, *(name for name in defaults if draw(st.booleans()))]
+    counts = st.sampled_from([*range(-1, 8), 2.0, "3", True])
+    dts = st.sampled_from([0.2, 0.5, 1, 0, -0.5, float("nan"), float("inf"), True, "0.2"])
+    return {"kind": kind, **{name: draw(dts if name == "dt" else counts) for name in names}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(generator=generator_mappings())
+def test_config_accepts_a_generator_iff_build_model_builds_it(generator):
+    try:
+        ExperimentConfig(generator=generator, T_list=[3], d_list=[1], seeds=[0])
+        rejected = None
+    except ValueError as err:
+        rejected = str(err)
+    try:
+        build_model(generator, seed=0)
+    except ValueError as err:
+        assert str(err) == rejected  # the config fails when it loads, with the generator's message
+    else:
+        assert rejected is None
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"kind": "synthetic", "n": 4, "w": 1},
+        {"kind": "mass_spring", "masses": 2},
+        {"kind": "multi_agent", "agents": 2, "degree": 1, "state_size": 1, "input_size": 1},
+    ],
+)
+def test_a_sweep_builds_each_model_by_its_generator_name(monkeypatch, generator):
+    # perfbench's tracer times the generators by patching these module names,
+    # so a table of function objects would hide them from it
+    name = f"gen_{generator['kind']}"
+    original, calls = getattr(experiments, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, recording)
+    config = ExperimentConfig(generator=generator, T_list=[3], d_list=[4], seeds=[0], estimators=["least_squares"])
+    assert len(run_experiment(config)) == 1
+    assert len(calls) == 1
 
 
 def test_generator_params_fill_in_the_table_defaults():
-    _, defaults = GENERATOR_PARAMS["multi_agent"]
+    _, defaults, _ = GENERATOR_PARAMS["multi_agent"]
     params = _generator_params({"kind": "multi_agent", "agents": 4, "degree": 1, "state_size": 2})
     assert params == {**defaults, "agents": 4, "degree": 1, "state_size": 2}
-    # an integer sampling time comes back as a float, as the generators take it
+    # an integer sampling time passes as it is, and builds the model of its float
     params = _generator_params({"kind": "mass_spring", "masses": 3, "dt": 1})
-    assert params == {"masses": 3, "dt": 1.0} and type(params["dt"]) is float
+    assert params == {"masses": 3, "dt": 1}
+    assert np.array_equal(build_model({"kind": "mass_spring", "masses": 3, "dt": 1}, seed=0).A,
+                          build_model({"kind": "mass_spring", "masses": 3, "dt": 1.0}, seed=0).A)
     assert _generator_params({"kind": "synthetic", "n": 8, "w": 1}) == {"n": 8, "w": 1}
 
 
@@ -181,7 +241,8 @@ def test_config_from_json_file_diagnostics(tmp_path):
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"generator": {"kind": "synthetic", "n": 8, "w": 1}, "T_list": [1],
                                  "d_list": [10], "seeds": [0]}))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(short))}: every horizon must be at least 2$"):
+    message = "every entry of T_list must be at least 2 (the state part of the design degenerates), got 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(short))}: {re.escape(message)}$"):
         ExperimentConfig.from_json_file(str(short))
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
@@ -194,6 +255,17 @@ def test_config_from_json_file_diagnostics(tmp_path):
     message = "generator 'synthetic': n=0 too small for band width w=1: need n >= 4"
     with pytest.raises(ValueError, match=f"^{re.escape(str(small))}: {re.escape(message)}$"):
         ExperimentConfig.from_json_file(str(small))
+    # so does every other kind's parameter rule, the sampling time's included
+    for generator, message in (
+        ({"kind": "mass_spring", "masses": 0}, "generator 'mass_spring': need at least one mass"),
+        ({"kind": "multi_agent", "agents": 3, "degree": 3}, "generator 'multi_agent': degree must lie in [0, 2]"),
+        ({"kind": "mass_spring", "masses": 2, "dt": -1},
+         "generator 'mass_spring': sampling time dt must be a finite, positive number, got -1"),
+    ):
+        path = tmp_path / f"{generator['kind']}-{generator.get('dt')}.json"
+        path.write_text(json.dumps({"generator": generator, "T_list": [3], "d_list": [10], "seeds": [0]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            ExperimentConfig.from_json_file(str(path))
 
 
 def test_horizon_sweep_records_growing_kappa():
@@ -306,7 +378,7 @@ any_float = st.one_of(
 def records(draw):
     """An ExperimentRecord with every CSV field drawn, None wherever the schema allows it."""
     kind = draw(st.sampled_from(sorted(GENERATOR_PARAMS)))
-    required, optional = GENERATOR_PARAMS[kind]
+    required, optional, _ = GENERATOR_PARAMS[kind]
     gen_params = {
         name: draw(st.floats(allow_nan=False, allow_infinity=False) if name == "dt" else st.integers())
         for name in (*required, *optional)
