@@ -437,16 +437,24 @@ def _sampling_time(dt) -> None:
         raise ValueError(f"sampling time dt must be a finite, positive number, got {dt!r}")
 
 
+def _model_size(n: int, m: int, sizes: str) -> None:
+    """The one upper bound on a generator's sizes: numpy must index the stacked (n+m) x n parameter."""
+    if (n + m) * n > np.iinfo(np.intp).max:
+        raise ValueError(f"{sizes} too large: the {n + m}x{n} parameter has more entries than numpy can index")
+
+
 def _synthetic_params(n: int, w: int) -> None:
     if w < 0:
         raise ValueError("band width must be nonnegative")
     if n < 3 * w + 1:  # a middle row has 2w+1 band entries and w off-band ones
         raise ValueError(f"n={n} too small for band width w={w}: need n >= {3 * w + 1}")
+    _model_size(n, n, f"n={n}")
 
 
 def _mass_spring_params(masses: int, dt: float) -> None:
     if masses < 1:
         raise ValueError("need at least one mass")
+    _model_size(2 * masses, masses, f"masses={masses}")
     _sampling_time(dt)
 
 
@@ -457,6 +465,8 @@ def _multi_agent_params(agents: int, degree: int, state_size: int, input_size: i
         raise ValueError(f"degree must lie in [0, {agents - 1}]")
     if state_size < 1 or input_size < 1:
         raise ValueError("agent block sizes must be positive")
+    sizes = f"agents={agents}, state_size={state_size}, input_size={input_size}"
+    _model_size(agents * state_size, agents * input_size, sizes)
     _sampling_time(dt)
 
 

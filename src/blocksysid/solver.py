@@ -14,7 +14,13 @@ which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
 subdifferential of the block norm.  Rows of one entry, unit blocks in a
 one-wide column, skip the projection's sort: the prox and the residual are
-taken in closed form, with the sort path's operations and so its bits.
+taken in closed form, with the sort path's operations and so its bits.  A
+column's wider rows take their sort-path distances only on steps where the
+l1 bound does not already prove it unconverged: a block's l1 excess over
+lambda_d, over the root of its entry count, never exceeds its distance, so a
+column the bound puts above the tolerance, with a margin for rounding,
+cannot stop, and every column that can stop is measured exactly.  The steps
+at which columns stop, their residuals and the estimate keep every bit.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ TIE_RTOL = 1e-6
 # The stopping rule: a column stops at a residual of at most KKT_TOL, or unconverged after MAX_ITER steps.
 KKT_TOL = 1e-7
 MAX_ITER = 50_000
+
+# Rows of at most this many entries may floor a column's residual by their
+# l1 excess, for which _kkt_stack proves that the floor never stops a column.
+_FLOOR_ENTRIES = 256
 
 
 class LeastSquaresUndefined(ValueError):
@@ -208,22 +218,48 @@ def _prox_stack(V: np.ndarray, tau: float, groups, out: np.ndarray) -> None:
             out[:, rows] = dst.reshape(out.shape[0], -1, out.shape[2])
 
 
-def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarray:
+def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups, floor: bool = False) -> np.ndarray:
     """Per-column distance of the negative gradient from lam times the block-norm subdifferential.
 
-    ``x`` and ``grad`` are (k, rows, width) stacks; ``grad`` is overwritten.
-    Zero blocks contribute their l1 excess over the dual ball of radius lam;
-    nonzero blocks contribute the Euclidean distance to lam times the set of
-    valid subgradients (signed simplex weights on the max-abs entries).
-    Everything is in gradient units and nothing is divided by lam, so a tiny
-    lam cannot overflow; a distance whose squares overflow, as at a huge lam,
-    is measured again scaled by its largest term.  Each column gets the max
-    over its blocks; for lam = 0 it is the plain gradient max-abs.
+    ``x`` and ``grad`` are (k, rows, width) stacks; ``grad`` is scratch.
+    Zero blocks contribute their l1 excess ``e = max(|g|_1 - lam, 0)`` over
+    the dual ball of radius lam; nonzero blocks contribute the Euclidean
+    distance to lam times the set of valid subgradients (signed simplex
+    weights on the max-abs entries).  Everything is in gradient units and
+    nothing is divided by lam, so a tiny lam cannot overflow; a distance
+    whose squares overflow, as at a huge lam, is measured again scaled by its
+    largest term.  Each column gets the max over its blocks; for lam = 0 it
+    is the plain gradient max-abs.
+
+    With ``floor``, a column in which some block of P = p * width entries,
+    2 <= P <= ``_FLOOR_ENTRIES``, has ``e / sqrt(P) > KKT_TOL + 2**-40 *
+    (|g|_1 + lam)`` gets the largest such bound as its value, and only its
+    one-entry rows are measured.  Such a column cannot stop, and every other
+    column's value is the exact one, bit for bit.  Proof: every valid
+    subgradient u has |u|_1 = lam, so |g + u|_2 >= |g + u|_1 / sqrt(P) >=
+    (|g|_1 - lam) / sqrt(P), and a zero block's value is e.  In rounding
+    (u0 = 2**-53, to first order, s the floor's |g|_1, summed in any order):
+    each sum of |g| errs by at most (P - 1) u0 s, which the margin covers
+    many times for a zero block's e.  The sort path's tests and shift
+    (C_k - lam) / k, C_k the sum of the top k, err by at most
+    2 u0 (s + lam); a count that falls short leaves each later entry within
+    4 u0 (s + lam) of the shift, and one that overshoots keeps the shift
+    within P u0 (s + lam) of the exact one, as its last passing entry
+    bounds the entries it took, so the kernel's weights sum to at most
+    lam + (P + 1)**2 u0 (s + lam).  Its squares, sums and root lose at most
+    (P + 3) u0 relative, the floor's own ops 7 u0.  So the measured distance
+    would exceed KKT_TOL by (s + lam) u0 (2**13 - (P**2 + 4 P + 10) / sqrt(P))
+    or more, which leaves half the margin for higher-order terms at
+    P = 256.  The test implies s > 1e-7, so underflow, at most P * 2**-1074,
+    cannot matter; a sum that overflows fails the test, and a distance that
+    overflows is inf or NaN, which stops no column either.
     """
     k = x.shape[0]
     if lam == 0:
         return np.abs(grad, out=grad).reshape(k, -1).max(axis=1, initial=0.0)
     worst = np.zeros(k)
+    bound = np.zeros(k)
+    wide = []
     for p, blocks, rows in groups:
         Th = _block_rows(x, rows, p)
         Qm = _block_rows(grad, rows, p)
@@ -231,28 +267,52 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups) -> np.ndarra
             per_row = _kkt_entries(Th[:, 0], Qm[:, 0], lam)
             np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
             continue
-        nz = np.flatnonzero(Th.any(axis=1))
-        Thn = Th[nz]
-        Qn = np.negative(Qm[nz])
-        per_row = np.abs(Qm, out=Qm).sum(axis=1)
-        per_row -= lam
-        np.maximum(per_row, 0.0, out=per_row)
-        vmax = np.abs(Thn).max(axis=1)
-        on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax)[:, None]
-        r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
-        # projection onto the simplex of radius lam over the max entries
-        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
-        with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
-            dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
-            dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
-        per_row[nz] = np.sqrt(dist2)
-        big = ~np.isfinite(dist2)
-        if big.any():
-            terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
-            top = terms.max(axis=1)
-            per_row[nz[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
-        np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
-    return worst
+        if floor and Th.shape[1] <= _FLOOR_ENTRIES:
+            l1 = np.einsum("ij->i", np.abs(Qm))  # faster than .sum(axis=1); any order keeps the proof
+            b = np.maximum(l1 - lam, 0.0) / np.sqrt(Th.shape[1])
+            b = np.where(b > KKT_TOL + 2.0**-40 * (l1 + lam), b, 0.0)
+            np.maximum(bound, b.reshape(k, -1).max(axis=1), out=bound)
+        wide.append((Th, Qm))
+    if not wide:
+        return worst
+    live = np.flatnonzero(bound == 0.0)
+    if live.size == 0:
+        return np.maximum(worst, bound, out=worst)
+    for Th, Qm in wide:
+        if live.size < k:  # the live columns' rows only
+            Th, Qm = (a.reshape(k, -1, a.shape[1])[live].reshape(-1, a.shape[1]) for a in (Th, Qm))
+        per_row = _kkt_wide_rows(Th, Qm, lam)
+        worst[live] = np.maximum(worst[live], per_row.reshape(live.size, -1).max(axis=1))
+    return np.maximum(worst, bound, out=worst)
+
+
+def _kkt_wide_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`_kkt_stack`'s distances for rows of several entries, ``Qm`` as scratch.
+
+    Zero rows give their l1 excess; nonzero rows take the distance by
+    projecting onto the simplex of radius lam over their max entries.
+    """
+    nz = np.flatnonzero(Th.any(axis=1))
+    Thn = Th[nz]
+    Qn = np.negative(Qm[nz])
+    per_row = np.abs(Qm, out=Qm).sum(axis=1)
+    per_row -= lam
+    np.maximum(per_row, 0.0, out=per_row)
+    vmax = np.abs(Thn).max(axis=1)
+    on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax)[:, None]
+    r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
+    # projection onto the simplex of radius lam over the max entries
+    y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
+    with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
+        dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
+        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
+    per_row[nz] = np.sqrt(dist2)
+    big = ~np.isfinite(dist2)
+    if big.any():
+        terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
+        top = terms.max(axis=1)
+        per_row[nz[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
+    return per_row
 
 
 def _kkt_entries(th: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
@@ -299,9 +359,13 @@ def _lockstep_apg(
     so each column's iterates are a one-column solve's bit for bit.  ``lam``
     is the weight, already checked.  A column leaves the stack when its
     residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps, and parks its
-    iterate in the tail slot of ``c`` that the compaction frees.  Returns
-    the final iterates (k, rows, width) in column order, a view that keeps
-    the step buffers alive, the step counts and the residuals.
+    iterate in the tail slot of ``c`` that the compaction frees.  The
+    residuals take :func:`_kkt_stack`'s l1 floor on every step but the one
+    that reaches ``MAX_ITER``; a floored column cannot stop, so each column
+    stops on a measured residual at the step the exact one gives, and
+    records it.  Returns the final iterates (k, rows, width) in column
+    order, a view that keeps the step buffers alive, the step counts and
+    the residuals.
     """
     k = c.shape[0]
     iterations = np.zeros(k, dtype=int)
@@ -314,8 +378,8 @@ def _lockstep_apg(
     # heap's free space, and sweep_agents peaked 3 MB higher.
     x, z, gx, gz, x_new, gx_new = np.zeros((6,) + c.shape)
     n = k
-    resid = _kkt_stack(x, np.subtract(gx, c, out=gx_new), lam, groups)
     it = 0
+    resid = _kkt_stack(x, np.subtract(gx, c, out=gx_new), lam, groups, floor=it < MAX_ITER)
     while True:
         done = resid <= KKT_TOL
         if it == MAX_ITER:
@@ -357,7 +421,7 @@ def _lockstep_apg(
         x, z, x_new = x_new, x, z
         gx, gx_new = gx_new, gx
         # the old gx is dead: it is the residual's scratch
-        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=gx_new[:n]), lam, groups)
+        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=gx_new[:n]), lam, groups, floor=it < MAX_ITER)
 
 
 def _stack_cap(rows: int, width: int, d: int, n: int) -> int:

@@ -261,6 +261,10 @@ def test_config_from_json_file_diagnostics(tmp_path):
         ({"kind": "multi_agent", "agents": 3, "degree": 3}, "generator 'multi_agent': degree must lie in [0, 2]"),
         ({"kind": "mass_spring", "masses": 2, "dt": -1},
          "generator 'mass_spring': sampling time dt must be a finite, positive number, got -1"),
+        # the one upper bound: numpy must index the model's (n+m) x n parameter
+        ({"kind": "synthetic", "n": 10**30, "w": 1},
+         f"generator 'synthetic': n={10**30} too large: the {2 * 10**30}x{10**30} parameter has more entries"
+         " than numpy can index"),
     ):
         path = tmp_path / f"{generator['kind']}-{generator.get('dt')}.json"
         path.write_text(json.dumps({"generator": generator, "T_list": [3], "d_list": [10], "seeds": [0]}))

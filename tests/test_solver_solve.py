@@ -256,6 +256,57 @@ def test_only_wide_block_rows_take_the_sort_path(monkeypatch, generator, d, sort
     assert (len(calls) > 0) == sorts
 
 
+def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
+    # The sweep_agents d=200 solve: a column whose l1 bound proves it
+    # unconverged skips its nonzero-block distances, and the solve is the
+    # one without the floor, bit for bit, also when MAX_ITER cuts it short.
+    model = build_model(AGENTS, 0)
+    part = model.partition
+    batch = simulate_batch(model, 3, 200, seed=0)
+    config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, 200), standardize=True)
+    kkt, wide_rows, lockstep = solver._kkt_stack, solver._kkt_wide_rows, solver._lockstep_apg
+    counts = {"evaluated": 0, "measured": 0}
+    residuals = []
+
+    def counting_kkt(x, grad, lam, groups, floor=False):
+        counts["evaluated"] += x.shape[0]
+        return kkt(x, grad, lam, groups, floor=floor)
+
+    def exact_kkt(x, grad, lam, groups, floor=False):
+        return kkt(x, grad, lam, groups)
+
+    def counting_wide_rows(Th, Qm, lam):
+        counts["measured"] += Th.shape[0] // part.n_row_blocks  # one size group of 5x5 blocks
+        return wide_rows(Th, Qm, lam)
+
+    def recording(*args):
+        x, iterations, resid = lockstep(*args)
+        residuals.append(resid)
+        return x, iterations, resid
+
+    def solve(kkt_stack):
+        monkeypatch.setattr(solver, "_kkt_stack", kkt_stack)
+        residuals.clear()
+        res = solve_block_regularized(batch, part, config)
+        return res, np.concatenate(residuals).tobytes()
+
+    monkeypatch.setattr(solver, "_lockstep_apg", recording)
+    monkeypatch.setattr(solver, "_kkt_wide_rows", counting_wide_rows)
+    floored, floored_residuals = solve(counting_kkt)
+    evaluated, measured = counts["evaluated"], counts["measured"]
+    exact, exact_residuals = solve(exact_kkt)
+    assert floored.converged
+    assert floored.theta_hat.tobytes() == exact.theta_hat.tobytes()  # signs of zeros included
+    assert np.array_equal(floored.iterations, exact.iterations)
+    assert floored_residuals == exact_residuals
+    assert evaluated > 0 and measured < evaluated / 4
+    # the step that reaches MAX_ITER measures every column it stops
+    monkeypatch.setattr(solver, "MAX_ITER", 5)
+    (cut, cut_residuals), (cut_exact, cut_exact_residuals) = solve(kkt), solve(exact_kkt)
+    assert not cut.converged
+    assert cut.theta_hat.tobytes() == cut_exact.theta_hat.tobytes() and cut_residuals == cut_exact_residuals
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     state_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),

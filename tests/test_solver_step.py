@@ -1,5 +1,7 @@
 """The lockstep APG step kernels against per-column and allocating references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blocksysid import solver
-from blocksysid.solver import _column_dots, _kkt_stack, _prox_stack, _size_groups
+from blocksysid.solver import KKT_TOL, _column_dots, _kkt_stack, _prox_stack, _size_groups
 
 from oracles import kkt_stack_reference, prox_stack_reference
 
@@ -75,6 +77,78 @@ def test_kkt_stack_on_max_block_past_the_range_of_squares():
     # the gradient is exactly -lam times a valid subgradient, so the distance is 0
     row_sizes, x, grad = ON_MAX_PAST_SQUARES
     assert np.array_equal(_kkt_stack(x, grad.copy(), 2e200, _size_groups(row_sizes)), [0.0])
+
+
+# A converged wide block, all four entries on its max, whose gradient is
+# minus a valid subgradient (lam / 4 on every entry, lam = 1) and t more on
+# every entry: its distance sqrt(P) t = 8e-8 is within KKT_TOL, while its l1
+# excess P t = 1.6e-7 is not, so only the sqrt(P) keeps the floor off.
+CONVERGED_PLUS_T = ([2], np.ones((1, 2, 2)), np.full((1, 2, 2), -(0.25 + 4e-8)))
+
+
+def assert_floor_sound(row_sizes, x, grad, lam):
+    """A column the floored kernel leaves unmeasured, its wide rows' distances
+    never taken, is above KKT_TOL both floored and exactly; every other
+    column's value is the exact kernel's, bit for bit, alone or stacked."""
+    groups = _size_groups(row_sizes)
+    exact = _kkt_stack(x, grad.copy(), lam, groups)
+    floored = _kkt_stack(x, grad.copy(), lam, groups, floor=True)
+    wide = any(p * x.shape[2] > 1 for p in row_sizes)
+    for j in range(x.shape[0]):
+        with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as distances:
+            alone = _kkt_stack(x[j : j + 1], grad[j : j + 1].copy(), lam, groups, floor=True)
+        assert alone.tobytes() == floored[j].tobytes()
+        if wide and not distances.called:
+            assert exact[j] > KKT_TOL and floored[j] > KKT_TOL
+        else:
+            assert floored[j].tobytes() == exact[j].tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    case=stacks(),
+    lam=st.one_of(st.sampled_from([5e-324, 1e-200, 0.5, 1.0, 1e300]), st.floats(5e-324, 8.0), st.floats(5e-324, 1e300)),
+    scale=st.one_of(st.sampled_from([1.0, 1e-7, 1e150, 1e300]), st.floats(0.0, 1e300)),
+)
+@example(case=CONVERGED_PLUS_T, lam=1.0, scale=1.0)
+def test_l1_floor_leaves_unmeasured_only_columns_that_cannot_stop(case, lam, scale):
+    row_sizes, x, v = case
+    assert_floor_sound(row_sizes, x, v * scale, lam)
+
+
+@st.composite
+def near_solutions(draw):
+    """(row_sizes, x, grad, lam): each block's gradient is minus lam times a
+    valid subgradient, t further out on every entry, so its distance is at
+    most sqrt(P) t and its l1 excess P t, with t from KKT_TOL / 16 to KKT_TOL."""
+    row_sizes, x, _ = draw(stacks())
+    lam = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    t = draw(st.floats(KKT_TOL / 16, KKT_TOL))
+    weights = draw(arrays(np.float64, x.shape, elements=st.floats(0.125, 1.0)))
+    sign = np.where(x < 0, -1.0, 1.0)
+    grad = np.empty_like(x)
+    for rows in np.split(np.arange(x.shape[1]), np.cumsum(row_sizes)[:-1]):
+        a = np.abs(x[:, rows])
+        top = a.max(axis=(1, 2), keepdims=True)
+        w = np.where((a == top) | (top == 0.0), weights[:, rows], 0.0)  # a zero block: any point of the dual sphere
+        grad[:, rows] = -(lam * sign[:, rows] * w / w.sum(axis=(1, 2), keepdims=True) + t * sign[:, rows])
+    return row_sizes, x, grad, lam
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=near_solutions())
+def test_l1_floor_measures_columns_near_a_solution(case):
+    assert_floor_sound(*case)
+
+
+def test_l1_floor_measures_a_converged_wide_block():
+    row_sizes, x, grad = CONVERGED_PLUS_T
+    groups = _size_groups(row_sizes)
+    with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as distances:
+        value = _kkt_stack(x, grad.copy(), 1.0, groups, floor=True)
+    assert distances.called
+    assert value.tobytes() == _kkt_stack(x, grad.copy(), 1.0, groups).tobytes()
+    assert value[0] <= KKT_TOL
 
 
 @pytest.mark.parametrize("width", [1, 2, 5])
