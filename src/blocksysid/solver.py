@@ -15,12 +15,13 @@ by the distance of the negative gradient from lambda_d times the
 subdifferential of the block norm.  Rows of one entry, unit blocks in a
 one-wide column, skip the projection's sort: the prox and the residual are
 taken in closed form, with the sort path's operations and so its bits.  A
-column's wider rows take their sort-path distances only on steps where the
-l1 bound does not already prove it unconverged: a block's l1 excess over
-lambda_d, over the root of its entry count, never exceeds its distance, so a
-column the bound puts above the tolerance, with a margin for rounding,
-cannot stop, and every column that can stop is measured exactly.  The steps
-at which columns stop, their residuals and the estimate keep every bit.
+column's rows, of one entry or of up to 256, take their distances only on
+steps where the l1 bound does not already prove it unconverged: a block's
+l1 excess over lambda_d, over the root of its entry count, never exceeds
+its distance, so a column the bound puts above the tolerance, with a margin
+for rounding, cannot stop, and every column that can stop is measured
+exactly.  The steps at which columns stop, their residuals and the estimate
+keep every bit.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ TIE_RTOL = 1e-6
 KKT_TOL = 1e-7
 MAX_ITER = 50_000
 
-# Rows of at most this many entries may floor a column's residual by their
-# l1 excess, for which _kkt_stack proves that the floor never stops a column.
+# Rows of 1 to this many entries may floor a column's residual by their l1
+# excess, for which _kkt_stack proves that the floor never stops a column.
 _FLOOR_ENTRIES = 256
 
 
@@ -231,17 +232,22 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups, floor: bool 
     largest term.  Each column gets the max over its blocks; for lam = 0 it
     is the plain gradient max-abs.
 
-    With ``floor``, a column in which some block of P = p * width entries,
-    2 <= P <= ``_FLOOR_ENTRIES``, has ``e / sqrt(P) > KKT_TOL + 2**-40 *
-    (|g|_1 + lam)`` gets the largest such bound as its value, and only its
-    one-entry rows are measured.  Such a column cannot stop, and every other
-    column's value is the exact one, bit for bit.  Proof: every valid
-    subgradient u has |u|_1 = lam, so |g + u|_2 >= |g + u|_1 / sqrt(P) >=
-    (|g|_1 - lam) / sqrt(P), and a zero block's value is e.  In rounding
-    (u0 = 2**-53, to first order, s the floor's |g|_1, summed in any order):
-    each sum of |g| errs by at most (P - 1) u0 s, which the margin covers
-    many times for a zero block's e.  The sort path's tests and shift
-    (C_k - lam) / k, C_k the sum of the top k, err by at most
+    With ``floor``, each size group of blocks of P = p * width entries,
+    P <= ``_FLOOR_ENTRIES``, bounds its columns once: with M a column's
+    largest block |g|_1 in the group, a column with ``(M - lam) / sqrt(P) >
+    KKT_TOL + 2**-40 * (M + lam)`` in some group gets the largest such bound
+    as its value, and none of its rows is measured.  Such a column cannot
+    stop, and every other column's value is the exact one, bit for bit.
+    Both sides of the test grow with M, so it holds for the column's block
+    of largest l1 if for any.  Proof: every valid subgradient u has
+    |u|_1 = lam, so |g + u|_2 >= |g + u|_1 / sqrt(P) >= (|g|_1 - lam) /
+    sqrt(P), and a zero block's value is e.  For P = 1 that bound is a zero
+    entry's value by the same ops, and at most |r - y| = |g sign(th) + lam|
+    for a nonzero one, y = r - (r - lam) being lam to within 2 u0 (s + lam).
+    In rounding (u0 = 2**-53, to first order, s the floor's |g|_1, summed in
+    any order): each sum of |g| errs by at most (P - 1) u0 s, which the
+    margin covers many times for a zero block's e.  The sort path's tests
+    and shift (C_k - lam) / k, C_k the sum of the top k, err by at most
     2 u0 (s + lam); a count that falls short leaves each later entry within
     4 u0 (s + lam) of the shift, and one that overshoots keeps the shift
     within P u0 (s + lam) of the exact one, as its last passing entry
@@ -250,40 +256,36 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups, floor: bool 
     (P + 3) u0 relative, the floor's own ops 7 u0.  So the measured distance
     would exceed KKT_TOL by (s + lam) u0 (2**13 - (P**2 + 4 P + 10) / sqrt(P))
     or more, which leaves half the margin for higher-order terms at
-    P = 256.  The test implies s > 1e-7, so underflow, at most P * 2**-1074,
-    cannot matter; a sum that overflows fails the test, and a distance that
-    overflows is inf or NaN, which stops no column either.
+    P = 256; at P = 1 the subtracted term is 15.  The test implies
+    s > 1e-7, so underflow, at most P * 2**-1074, cannot matter; a sum that
+    overflows fails the test, and a distance that overflows is inf or NaN,
+    which stops no column either.
     """
     k = x.shape[0]
     if lam == 0:
         return np.abs(grad, out=grad).reshape(k, -1).max(axis=1, initial=0.0)
-    worst = np.zeros(k)
-    bound = np.zeros(k)
-    wide = []
-    for p, blocks, rows in groups:
+    worst = np.zeros(k)  # the floor's bounds first, then the live columns' distances
+    row_sets = []
+    for p, _, rows in groups:
         Th = _block_rows(x, rows, p)
         Qm = _block_rows(grad, rows, p)
-        if Th.shape[1] == 1:
-            per_row = _kkt_entries(Th[:, 0], Qm[:, 0], lam)
-            np.maximum(worst, per_row.reshape(k, len(blocks)).max(axis=1), out=worst)
-            continue
-        if floor and Th.shape[1] <= _FLOOR_ENTRIES:
-            l1 = np.einsum("ij->i", np.abs(Qm))  # faster than .sum(axis=1); any order keeps the proof
-            b = np.maximum(l1 - lam, 0.0) / np.sqrt(Th.shape[1])
-            b = np.where(b > KKT_TOL + 2.0**-40 * (l1 + lam), b, 0.0)
-            np.maximum(bound, b.reshape(k, -1).max(axis=1), out=bound)
-        wide.append((Th, Qm))
-    if not wide:
-        return worst
-    live = np.flatnonzero(bound == 0.0)
+        P = Th.shape[1]
+        if floor and P <= _FLOOR_ENTRIES:
+            # each column's largest l1; einsum is faster than .sum(axis=1), and any order keeps the proof
+            l1 = np.abs(Qm) if P == 1 else np.einsum("ij->i", np.abs(Qm))
+            M = l1.reshape(k, -1).max(axis=1)
+            b = np.maximum(M - lam, 0.0) / np.sqrt(P)
+            np.maximum(worst, np.where(b > KKT_TOL + 2.0**-40 * (M + lam), b, 0.0), out=worst)
+        row_sets.append((Th, Qm))
+    live = np.flatnonzero(worst == 0.0)
     if live.size == 0:
-        return np.maximum(worst, bound, out=worst)
-    for Th, Qm in wide:
+        return worst
+    for Th, Qm in row_sets:
         if live.size < k:  # the live columns' rows only
             Th, Qm = (a.reshape(k, -1, a.shape[1])[live].reshape(-1, a.shape[1]) for a in (Th, Qm))
-        per_row = _kkt_wide_rows(Th, Qm, lam)
+        per_row = _kkt_entries(Th[:, 0], Qm[:, 0], lam) if Th.shape[1] == 1 else _kkt_wide_rows(Th, Qm, lam)
         worst[live] = np.maximum(worst[live], per_row.reshape(live.size, -1).max(axis=1))
-    return np.maximum(worst, bound, out=worst)
+    return worst
 
 
 def _kkt_wide_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:

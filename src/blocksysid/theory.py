@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, _offsets, block_abs_max, block_row_indices, support_pattern
+from .blocks import BlockPartition, BlockSupport, block_abs_max, support_pattern
 from .lti import SystemModel, design_covariance
 
 
@@ -65,30 +65,30 @@ def mutual_incoherence(
     if not support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
     sizes = np.asarray(partition.row_sizes)
+    unit = bool((sizes == 1).all())
     worst = 0.0
-    for j in range(1, partition.n_col_blocks + 1):
-        on_blocks = support.nonzero_rows(j)
-        off_blocks = support.zero_rows(j)
-        if on_blocks.size == 0 or off_blocks.size == 0:
+    for j, on_blocks in enumerate(support.mask.T):
+        on = on_blocks if unit else np.repeat(on_blocks, sizes)  # per scalar row
+        idx_on = np.flatnonzero(on)
+        idx_off = np.flatnonzero(~on)
+        if idx_on.size == 0 or idx_off.size == 0:
             continue
-        idx_on = block_row_indices(partition, on_blocks)
-        idx_off = block_row_indices(partition, off_blocks)
-        on_starts = _offsets(sizes[on_blocks])[:-1]
-        off_starts = _offsets(sizes[off_blocks])[:-1]
+        sigma_on = sigma_tilde[idx_on]
         try:
-            coeffs = np.linalg.solve(
-                sigma_tilde[np.ix_(idx_on, idx_on)], sigma_tilde[np.ix_(idx_on, idx_off)]
-            )
+            coeffs = np.linalg.solve(sigma_on[:, idx_on], sigma_on[:, idx_off])
         except np.linalg.LinAlgError:
             raise ValueError(
-                f"incoherence undefined: singular on-support covariance in block column {j}"
+                f"incoherence undefined: singular on-support covariance in block column {j + 1}"
             ) from None
         # rows: on-support rows s; columns: off-support blocks b; entries
         # sum_{r in b} |C_sr|.  Keep each on-support block's largest row and
-        # sum over the on-support blocks.
-        row_l1 = np.add.reduceat(np.abs(coeffs), off_starts, axis=1)
-        per_off = np.maximum.reduceat(row_l1, on_starts, axis=0).sum(axis=0)
-        worst = max(worst, float(per_off.max()))
+        # sum over the on-support blocks; unit blocks hold one row each.
+        row_l1 = np.abs(coeffs)
+        if not unit:
+            on_sizes, off_sizes = sizes[on_blocks], sizes[~on_blocks]
+            row_l1 = np.add.reduceat(row_l1, np.cumsum(off_sizes) - off_sizes, axis=1)
+            row_l1 = np.maximum.reduceat(row_l1, np.cumsum(on_sizes) - on_sizes, axis=0)
+        worst = max(worst, float(row_l1.sum(axis=0).max()))
     return 1.0 - worst
 
 

@@ -12,7 +12,7 @@ allocating kernels, which the in-place ones must match bit for bit.
 
 import numpy as np
 
-from blocksysid.blocks import support_pattern
+from blocksysid.blocks import _offsets, block_row_indices, support_pattern
 from blocksysid.experiments import ExperimentRecord, build_model, estimate
 from blocksysid.lti import eigen_ratio, simulate_batch
 from blocksysid.metrics import error_norms, mismatch_error, rme, rst
@@ -327,3 +327,36 @@ def kkt_residual_longdouble(theta, grad, lam, row_sizes, col_sizes):
             y = np.maximum(r - (css[rho - 1] - lam) / rho, 0)
             worst = max(worst, np.sqrt((q[~on_max] ** 2).sum() + ((r - y) ** 2).sum()))
     return worst
+
+
+def mutual_incoherence_reference(sigma_tilde, partition, support):
+    """Incoherence margin gamma, one block column at a time from its blocks' scalar indices.
+
+    Per block column, C = Sigma_SS^{-1} Sigma_Sb over the on- and off-support
+    rows; each off-support block b takes sum over on-support blocks k of
+    max over rows s of k of sum_{r in b} |C_sr|, and gamma is one minus the
+    largest.  A singular on-support covariance names its block column.
+    """
+    sizes = np.asarray(partition.row_sizes)
+    worst = 0.0
+    for j in range(1, partition.n_col_blocks + 1):
+        on_blocks = support.nonzero_rows(j)
+        off_blocks = support.zero_rows(j)
+        if on_blocks.size == 0 or off_blocks.size == 0:
+            continue
+        idx_on = block_row_indices(partition, on_blocks)
+        idx_off = block_row_indices(partition, off_blocks)
+        on_starts = _offsets(sizes[on_blocks])[:-1]
+        off_starts = _offsets(sizes[off_blocks])[:-1]
+        try:
+            coeffs = np.linalg.solve(
+                sigma_tilde[np.ix_(idx_on, idx_on)], sigma_tilde[np.ix_(idx_on, idx_off)]
+            )
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"incoherence undefined: singular on-support covariance in block column {j}"
+            ) from None
+        row_l1 = np.add.reduceat(np.abs(coeffs), off_starts, axis=1)
+        per_off = np.maximum.reduceat(row_l1, on_starts, axis=0).sum(axis=0)
+        worst = max(worst, float(per_off.max()))
+    return 1.0 - worst

@@ -256,15 +256,19 @@ def test_only_wide_block_rows_take_the_sort_path(monkeypatch, generator, d, sort
     assert (len(calls) > 0) == sorts
 
 
-def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
-    # The sweep_agents d=200 solve: a column whose l1 bound proves it
-    # unconverged skips its nonzero-block distances, and the solve is the
-    # one without the floor, bit for bit, also when MAX_ITER cuts it short.
-    model = build_model(AGENTS, 0)
+def floored_against_exact(monkeypatch, model, d):
+    """Solve a benchmark-like problem with the l1 floor and with it forced off.
+
+    The estimate, every column's step count and every column's recorded
+    residual agree bit for bit, also when MAX_ITER cuts the solve short.
+    Returns the column evaluations of the floored solve and how many of them
+    took a distance of any row.
+    """
     part = model.partition
-    batch = simulate_batch(model, 3, 200, seed=0)
-    config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, 200), standardize=True)
-    kkt, wide_rows, lockstep = solver._kkt_stack, solver._kkt_wide_rows, solver._lockstep_apg
+    batch = simulate_batch(model, 3, d, seed=0)
+    config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, d), standardize=True)
+    kkt, lockstep = solver._kkt_stack, solver._lockstep_apg
+    wide_rows, entries = solver._kkt_wide_rows, solver._kkt_entries
     counts = {"evaluated": 0, "measured": 0}
     residuals = []
 
@@ -275,9 +279,14 @@ def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
     def exact_kkt(x, grad, lam, groups, floor=False):
         return kkt(x, grad, lam, groups)
 
+    # one size group per partition, so a measured column runs one of the two on all its rows
     def counting_wide_rows(Th, Qm, lam):
-        counts["measured"] += Th.shape[0] // part.n_row_blocks  # one size group of 5x5 blocks
+        counts["measured"] += Th.shape[0] // part.n_row_blocks
         return wide_rows(Th, Qm, lam)
+
+    def counting_entries(th, g, lam):
+        counts["measured"] += th.shape[0] // part.n_row_blocks
+        return entries(th, g, lam)
 
     def recording(*args):
         x, iterations, resid = lockstep(*args)
@@ -292,6 +301,7 @@ def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
     monkeypatch.setattr(solver, "_kkt_wide_rows", counting_wide_rows)
+    monkeypatch.setattr(solver, "_kkt_entries", counting_entries)
     floored, floored_residuals = solve(counting_kkt)
     evaluated, measured = counts["evaluated"], counts["measured"]
     exact, exact_residuals = solve(exact_kkt)
@@ -299,12 +309,31 @@ def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
     assert floored.theta_hat.tobytes() == exact.theta_hat.tobytes()  # signs of zeros included
     assert np.array_equal(floored.iterations, exact.iterations)
     assert floored_residuals == exact_residuals
-    assert evaluated > 0 and measured < evaluated / 4
     # the step that reaches MAX_ITER measures every column it stops
     monkeypatch.setattr(solver, "MAX_ITER", 5)
     (cut, cut_residuals), (cut_exact, cut_exact_residuals) = solve(kkt), solve(exact_kkt)
     assert not cut.converged
     assert cut.theta_hat.tobytes() == cut_exact.theta_hat.tobytes() and cut_residuals == cut_exact_residuals
+    assert np.array_equal(cut.iterations, cut_exact.iterations)
+    return evaluated, measured
+
+
+def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
+    # The sweep_agents d=200 solve: a column whose l1 bound proves it
+    # unconverged skips its nonzero-block distances.
+    evaluated, measured = floored_against_exact(monkeypatch, build_model(AGENTS, 0), 200)
+    assert evaluated > 0 and measured < evaluated / 4
+
+
+@pytest.mark.parametrize(
+    "generator, d", [(SCALAR, 100), ({"kind": "mass_spring", "masses": 10, "dt": 0.2}, 100)]
+)
+def test_l1_floor_on_one_entry_rows_moves_no_bit(monkeypatch, generator, d):
+    # Unit blocks: a column whose largest |g| proves it unconverged skips its
+    # closed-form distances (at 6,452 of 6,675 column evaluations of the
+    # sweep_scalar solve, at 264 of 413 on the mass-spring one).
+    evaluated, measured = floored_against_exact(monkeypatch, build_model(generator, 0), d)
+    assert evaluated > 0 and measured < evaluated / 2
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

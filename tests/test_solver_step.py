@@ -18,10 +18,10 @@ entries = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -2.5]), st.floats
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, row_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6), widths=st.integers(1, 3)):
     """(row_sizes, x, v) with x's blocks zeroed at random, stacks 1-4 columns of width 1-3."""
-    row_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
-    shape = (draw(st.integers(1, 4)), sum(row_sizes), draw(st.integers(1, 3)))
+    row_sizes = draw(row_sizes)
+    shape = (draw(st.integers(1, 4)), sum(row_sizes), draw(widths))
     x = draw(arrays(np.float64, shape, elements=entries))
     v = draw(arrays(np.float64, shape, elements=entries))
     keep = draw(arrays(bool, (shape[0], len(row_sizes))))
@@ -86,29 +86,57 @@ def test_kkt_stack_on_max_block_past_the_range_of_squares():
 CONVERGED_PLUS_T = ([2], np.ones((1, 2, 2)), np.full((1, 2, 2), -(0.25 + 4e-8)))
 
 
+def measured_alone(x, grad, lam, groups):
+    """The floored kernel on one column: its value, and whether any row's distance was taken."""
+    with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as wide, \
+            mock.patch.object(solver, "_kkt_entries", wraps=solver._kkt_entries) as entries:
+        value = _kkt_stack(x, grad.copy(), lam, groups, floor=True)
+    return value, wide.called or entries.called
+
+
 def assert_floor_sound(row_sizes, x, grad, lam):
-    """A column the floored kernel leaves unmeasured, its wide rows' distances
-    never taken, is above KKT_TOL both floored and exactly; every other
-    column's value is the exact kernel's, bit for bit, alone or stacked."""
+    """A column the floored kernel leaves unmeasured, no row's distance
+    taken, is above KKT_TOL both floored and exactly; every other column's
+    value is the exact kernel's, bit for bit, alone or stacked.  Returns the
+    number of unmeasured columns."""
     groups = _size_groups(row_sizes)
     exact = _kkt_stack(x, grad.copy(), lam, groups)
     floored = _kkt_stack(x, grad.copy(), lam, groups, floor=True)
-    wide = any(p * x.shape[2] > 1 for p in row_sizes)
+    unmeasured = 0
     for j in range(x.shape[0]):
-        with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as distances:
-            alone = _kkt_stack(x[j : j + 1], grad[j : j + 1].copy(), lam, groups, floor=True)
+        alone, measured = measured_alone(x[j : j + 1], grad[j : j + 1], lam, groups)
         assert alone.tobytes() == floored[j].tobytes()
-        if wide and not distances.called:
-            assert exact[j] > KKT_TOL and floored[j] > KKT_TOL
-        else:
+        if measured:
             assert floored[j].tobytes() == exact[j].tobytes()
+        else:
+            assert exact[j] > KKT_TOL and floored[j] > KKT_TOL
+            unmeasured += 1
+    return unmeasured
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# One-wide stacks whose rows hold one entry, or 1 and 25.
+one_entry_and_mixed_stacks = stacks(
+    row_sizes=st.one_of(
+        st.lists(st.just(1), min_size=1, max_size=8),
+        st.lists(st.sampled_from([1, 25]), min_size=2, max_size=4).filter(lambda r: len(set(r)) == 2),
+    ),
+    widths=st.just(1),
+)
+
+# Weights at which the one-entry closed form's y = r - (r - lam) rounds away
+# from lam for some rows of the draws, r = -g sign(th) being far from lam.
+ROUNDING_LAMBDAS = [0.1, 1 / 3, 3e-8, 1e-20]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(
-    case=stacks(),
-    lam=st.one_of(st.sampled_from([5e-324, 1e-200, 0.5, 1.0, 1e300]), st.floats(5e-324, 8.0), st.floats(5e-324, 1e300)),
-    scale=st.one_of(st.sampled_from([1.0, 1e-7, 1e150, 1e300]), st.floats(0.0, 1e300)),
+    case=st.one_of(stacks(), one_entry_and_mixed_stacks),
+    lam=st.one_of(
+        st.sampled_from([5e-324, 1e-200, 0.5, 1.0, 1e300, *ROUNDING_LAMBDAS]),
+        st.floats(5e-324, 8.0),
+        st.floats(5e-324, 1e300),
+    ),
+    scale=st.one_of(st.sampled_from([1.0, 1e-7, 3e-8, 1e150, 1e300]), st.floats(0.0, 1e300)),
 )
 @example(case=CONVERGED_PLUS_T, lam=1.0, scale=1.0)
 def test_l1_floor_leaves_unmeasured_only_columns_that_cannot_stop(case, lam, scale):
@@ -116,12 +144,54 @@ def test_l1_floor_leaves_unmeasured_only_columns_that_cannot_stop(case, lam, sca
     assert_floor_sound(row_sizes, x, v * scale, lam)
 
 
+@pytest.mark.parametrize("lam", [3e-8, 1e-20, 0.1, 1e6])
+def test_l1_floor_on_one_entry_rows_at_the_tolerance(lam):
+    # One-entry columns whose distance |r - y| lies within 64 ulps of
+    # KKT_TOL, or within three margins of it, for zero and nonzero entries of
+    # both signs: the floor takes some, measures the rest, and never one that
+    # can stop.
+    top = lam + KKT_TOL
+    ulps = np.spacing(top) * np.arange(-64, 65)
+    margins = 2.0**-40 * (top + lam) * np.linspace(-3, 3, 61)
+    r = top + np.concatenate([ulps, margins])
+    r = np.concatenate([r, -r])
+    for th in (1.0, -1.0, 0.0):
+        x = np.full((r.size, 1, 1), th)
+        grad = (-r * (np.sign(th) or 1.0)).reshape(-1, 1, 1)
+        assert assert_floor_sound([1], x, grad, lam) > 0
+    if lam < KKT_TOL:  # y rounds away from lam where r > 2 lam
+        assert (r - (r - lam) != lam).any()
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6])
+def test_l1_floor_on_mixed_rows_at_the_tolerance(lam):
+    # Columns of one-entry rows and a 25-entry block near a solution, its
+    # gradient minus a valid subgradient and t further out on every entry.
+    # In the first half 5 t is within a few rounding errors of KKT_TOL: at
+    # these weights the floor's l1 sum and the sort path's distance disagree
+    # by more than their gap to the tolerance, and only the margin keeps such
+    # columns measured.  In the second half 5 t is within three margins.
+    rng = np.random.default_rng(int(lam))
+    row_sizes = [1, 25, 1]
+    k = 400
+    x = np.zeros((k, 27, 1))
+    x[:, 1:26] = 1.0
+    weights = np.where(np.arange(k)[:, None] % 2, rng.uniform(0.125, 1.0, (k, 25)), 1.0)
+    spread = np.where(np.arange(k)[:, None] < k // 2, 1e-6 * np.sqrt(lam) * KKT_TOL, 2.0**-40 * 6 * lam)
+    t = (KKT_TOL + rng.uniform(-1.0, 1.0, (k, 1)) * spread) / 5
+    grad = np.zeros_like(x)
+    grad[:, 1:26, 0] = -(lam * weights / weights.sum(axis=1, keepdims=True) + t)
+    grad[:, [0, 26], 0] = rng.uniform(-lam, lam, (k, 2))  # zero entries inside the dual ball
+    unmeasured = assert_floor_sound(row_sizes, x, grad, lam)
+    assert 0 < unmeasured < k
+
+
 @st.composite
 def near_solutions(draw):
     """(row_sizes, x, grad, lam): each block's gradient is minus lam times a
     valid subgradient, t further out on every entry, so its distance is at
     most sqrt(P) t and its l1 excess P t, with t from KKT_TOL / 16 to KKT_TOL."""
-    row_sizes, x, _ = draw(stacks())
+    row_sizes, x, _ = draw(st.one_of(stacks(), one_entry_and_mixed_stacks))
     lam = draw(st.sampled_from([0.5, 1.0, 3.0]))
     t = draw(st.floats(KKT_TOL / 16, KKT_TOL))
     weights = draw(arrays(np.float64, x.shape, elements=st.floats(0.125, 1.0)))
@@ -144,9 +214,8 @@ def test_l1_floor_measures_columns_near_a_solution(case):
 def test_l1_floor_measures_a_converged_wide_block():
     row_sizes, x, grad = CONVERGED_PLUS_T
     groups = _size_groups(row_sizes)
-    with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as distances:
-        value = _kkt_stack(x, grad.copy(), 1.0, groups, floor=True)
-    assert distances.called
+    value, measured = measured_alone(x, grad, 1.0, groups)
+    assert measured
     assert value.tobytes() == _kkt_stack(x, grad.copy(), 1.0, groups).tobytes()
     assert value[0] <= KKT_TOL
 

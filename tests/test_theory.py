@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksysid.blocks import BlockPartition, BlockSupport
 from blocksysid.lti import SystemModel, gen_synthetic
@@ -12,6 +14,8 @@ from blocksysid.theory import (
     mutual_incoherence,
     sample_threshold,
 )
+
+from oracles import mutual_incoherence_reference
 
 
 def test_incoherence_diagonal_covariance_is_one():
@@ -114,6 +118,50 @@ def test_incoherence_singular_on_support_errors():
         mutual_incoherence(np.eye(3), part, support)
     with pytest.raises(ValueError, match="support mask shape does not match the partition"):
         mutual_incoherence(np.eye(2), part, BlockSupport(np.array([[True, False]])))
+
+
+@st.composite
+def incoherence_problems(draw):
+    """(sigma, partition, support): mixed row sizes, a random support, a positive definite covariance."""
+    state_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    input_sizes = draw(st.lists(st.integers(1, 3), max_size=3))
+    part = BlockPartition.from_block_sizes(state_sizes, input_sizes)
+    mask = draw(st.lists(st.booleans(), min_size=part.n_row_blocks * part.n_col_blocks,
+                         max_size=part.n_row_blocks * part.n_col_blocks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = part.shape[0]
+    M = rng.standard_normal((p, p))
+    sigma = M @ M.T / p + 0.1 * np.eye(p)
+    return sigma, part, BlockSupport(np.reshape(mask, (part.n_row_blocks, part.n_col_blocks)))
+
+
+def _unit_problem(n, m, seed):
+    """Unit blocks, the case that skips the block reductions, with about half the blocks on."""
+    part = BlockPartition.scalar(n, m)
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n + m, n + m))
+    return M @ M.T / (n + m) + 0.1 * np.eye(n + m), part, BlockSupport(rng.random((n + m, n)) < 0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=incoherence_problems())
+@example(problem=_unit_problem(12, 4, 0))
+def test_incoherence_equals_the_per_block_reference(problem):
+    assert mutual_incoherence(*problem) == mutual_incoherence_reference(*problem)
+
+
+@pytest.mark.parametrize("incoherence", [mutual_incoherence, mutual_incoherence_reference])
+def test_incoherence_names_the_first_singular_block_column(incoherence):
+    # Rows 1 and 2 repeat each other, so block columns 2 and 3, whose
+    # supports hold both, have singular on-support covariances; column 1's
+    # support does not, and the error names column 2.
+    part = BlockPartition.scalar(3, 1)
+    sigma = np.array([[2.0, 2.0, 0.5, 0.1], [2.0, 2.0, 0.5, 0.1], [0.5, 0.5, 1.0, 0.2], [0.1, 0.1, 0.2, 1.0]])
+    support = BlockSupport(
+        np.array([[False, True, True], [False, True, True], [True, False, False], [False, False, True]])
+    )
+    with pytest.raises(ValueError, match=r"singular on-support covariance in block column 2$"):
+        incoherence(sigma, part, support)
 
 
 def test_min_block_magnitude_examples():
