@@ -118,7 +118,11 @@ class BlockPartition:
 
 @dataclass(frozen=True, eq=False)
 class BlockSupport:
-    """Boolean grid marking which blocks of the parameter grid are nonzero."""
+    """Boolean grid marking which blocks of the parameter grid are nonzero.
+
+    ``mask[:, j]`` marks the row blocks of block column j (0-based), and
+    ``np.repeat(mask[:, j], row_sizes)`` marks their scalar rows.
+    """
 
     mask: np.ndarray = field()
 
@@ -130,13 +134,6 @@ class BlockSupport:
 
     def matches(self, partition: BlockPartition) -> bool:
         return self.mask.shape == (partition.n_row_blocks, partition.n_col_blocks)
-
-    def nonzero_rows(self, j: int) -> np.ndarray:
-        """0-based row-block indices of the nonzero blocks in block column j (1-based)."""
-        return np.flatnonzero(self.mask[:, j - 1])
-
-    def zero_rows(self, j: int) -> np.ndarray:
-        return np.flatnonzero(~self.mask[:, j - 1])
 
     def count(self) -> int:
         return int(self.mask.sum())
@@ -150,16 +147,6 @@ def block_range(partition: BlockPartition, i: int, j: int) -> tuple[slice, slice
         raise IndexError(f"block column {j} out of range 1..{partition.n_col_blocks}")
     ro, co = partition.row_offsets, partition.col_offsets
     return slice(ro[i - 1], ro[i]), slice(co[j - 1], co[j])
-
-
-def block_row_indices(partition: BlockPartition, blocks) -> np.ndarray:
-    """Scalar row indices of the given (0-based) row blocks, in the given order."""
-    ro = np.asarray(partition.row_offsets)
-    blocks = np.asarray(blocks, dtype=int)
-    sizes = ro[blocks + 1] - ro[blocks]
-    # each block's run is its start plus the run's position in the output
-    starts_out = np.cumsum(sizes) - sizes
-    return np.repeat(ro[blocks] - starts_out, sizes) + np.arange(sizes.sum())
 
 
 def _check_grid(theta: np.ndarray, partition: BlockPartition) -> np.ndarray:

@@ -26,11 +26,12 @@ keep every bit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, _check_grid, _offsets, block_row_indices, support_pattern
+from .blocks import BlockPartition, BlockSupport, _check_grid, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -np.inf
@@ -72,8 +73,12 @@ class EstimatorConfig:
     standardize: bool = False
 
     def __post_init__(self):
+        if isinstance(self.lambda_d, bool) or not isinstance(self.lambda_d, numbers.Real):
+            raise ValueError(f"lambda_d must be a real number, got {self.lambda_d!r}")
         if not np.isfinite(self.lambda_d) or self.lambda_d < 0:
             raise ValueError("lambda_d must be finite and nonnegative")
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,23 +185,20 @@ def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
 
 
 def _size_groups(sizes) -> list[tuple[int, np.ndarray, np.ndarray | slice]]:
-    """Group contiguous blocks by size: (size, block ids, flat indices).
+    """Group blocks by size, smallest first: (size, block ids, flat indices).
 
     The flat indices are a slice when the blocks of one size are adjacent.
     Indexing a (k, rows, width) stack with that slice gives a view only when
     the group spans every row of the stack; otherwise ``_block_rows`` returns
     a copy, which ``_prox_stack`` writes back.
     """
-    offsets = np.asarray(_offsets(sizes))
-    by_size: dict[int, list[int]] = {}
-    for b, p in enumerate(sizes):
-        by_size.setdefault(int(p), []).append(b)
+    sizes = np.asarray(sizes)
     groups = []
-    for p in sorted(by_size):
-        blocks = np.asarray(by_size[p], dtype=int)
-        rows = (offsets[blocks][:, None] + np.arange(p)[None, :]).ravel()
-        if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
-            rows = slice(int(rows[0]), int(rows[0]) + rows.size)
+    for p in sorted(set(sizes.tolist())):
+        blocks = np.flatnonzero(sizes == p)
+        rows = np.flatnonzero(np.repeat(sizes == p, sizes))
+        if rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
         groups.append((p, blocks, rows))
     return groups
 
@@ -566,18 +568,17 @@ def pdw_check(
     _check_batch(batch, partition)
     if not true_support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
-    if not 0 < lambda_d < np.inf:
-        raise ValueError("witness undefined: needs a positive, finite lambda_d")
+    if isinstance(lambda_d, bool) or not isinstance(lambda_d, numbers.Real) or not 0 < lambda_d < np.inf:
+        raise ValueError(f"witness undefined: needs a positive, finite lambda_d, got {lambda_d!r}")
 
     X, d, co = batch.X, batch.d, partition.col_offsets
     row_sizes = np.asarray(partition.row_sizes)
     theta = np.zeros(partition.shape)
-    for j in range(partition.n_col_blocks):
-        on_blocks = true_support.nonzero_rows(j + 1)
-        if not on_blocks.size:
+    for j, on_blocks in enumerate(true_support.mask.T):
+        if not on_blocks.any():
             continue
         cols = slice(co[j], co[j + 1])
-        idx_on = block_row_indices(partition, on_blocks)
+        idx_on = np.flatnonzero(np.repeat(on_blocks, row_sizes))
         X_on = X[:, idx_on]
         G_on = X_on.T @ X_on
         try:
@@ -599,6 +600,6 @@ def pdw_check(
     Q = X.T @ (batch.Y - X @ theta) / (d * lambda_d)
     l1 = np.add.reduceat(np.abs(Q), partition.row_offsets[:-1], axis=0)
     l1 = np.add.reduceat(l1, co[:-1], axis=1)
-    dual_norms = [l1[true_support.zero_rows(j + 1), j] for j in range(partition.n_col_blocks)]
+    dual_norms = [l1[~on_blocks, j] for j, on_blocks in enumerate(true_support.mask.T)]
     worst = float(l1.max(where=~true_support.mask, initial=0.0))
     return PdwReport(dual_norms=dual_norms, success=bool(worst < 1.0), gamma_margin=1.0 - worst)

@@ -124,8 +124,8 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar, m_bar, delta: floa
     Returns ``ceil(kappa^2 * k_max * (D log(n_bar+m_bar) + D^2 log(1/delta)))``,
     the bound with its absolute constant, which is not derivable, set to one.
     """
-    if kappa <= 0 or k_max <= 0 or D <= 0:
-        raise ValueError("kappa, k_max and D must be positive")
+    if not 0 < kappa < math.inf or k_max <= 0 or D <= 0:
+        raise ValueError(f"kappa (finite), k_max and D must be positive, got {kappa!r}, {k_max!r}, {D!r}")
     total = n_bar + m_bar
     if total <= 0:
         raise ValueError("need a positive block count")

@@ -12,7 +12,7 @@ allocating kernels, which the in-place ones must match bit for bit.
 
 import numpy as np
 
-from blocksysid.blocks import _offsets, block_row_indices, support_pattern
+from blocksysid.blocks import _offsets, support_pattern
 from blocksysid.experiments import ExperimentRecord, build_model, estimate
 from blocksysid.lti import eigen_ratio, simulate_batch
 from blocksysid.metrics import error_norms, mismatch_error, rme, rst
@@ -340,12 +340,12 @@ def mutual_incoherence_reference(sigma_tilde, partition, support):
     sizes = np.asarray(partition.row_sizes)
     worst = 0.0
     for j in range(1, partition.n_col_blocks + 1):
-        on_blocks = support.nonzero_rows(j)
-        off_blocks = support.zero_rows(j)
-        if on_blocks.size == 0 or off_blocks.size == 0:
+        on_blocks = [b for b in range(partition.n_row_blocks) if support.mask[b, j - 1]]
+        off_blocks = [b for b in range(partition.n_row_blocks) if not support.mask[b, j - 1]]
+        if not on_blocks or not off_blocks:
             continue
-        idx_on = block_row_indices(partition, on_blocks)
-        idx_off = block_row_indices(partition, off_blocks)
+        idx_on = block_row_indices_reference(partition.row_offsets, on_blocks)
+        idx_off = block_row_indices_reference(partition.row_offsets, off_blocks)
         on_starts = _offsets(sizes[on_blocks])[:-1]
         off_starts = _offsets(sizes[off_blocks])[:-1]
         try:

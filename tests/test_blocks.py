@@ -8,11 +8,10 @@ from blocksysid.blocks import (
     BlockSupport,
     block_abs_max,
     block_range,
-    block_row_indices,
     support_pattern,
 )
 
-from oracles import block_norm_reference, block_row_indices_reference
+from oracles import block_norm_reference
 
 
 def test_partition_basic_properties():
@@ -174,26 +173,6 @@ def test_support_shape_mismatch_errors():
 def test_block_support_helpers():
     mask = np.array([[True, False], [False, True], [True, True]])
     sup = BlockSupport(mask)
-    assert list(sup.nonzero_rows(1)) == [0, 2]
-    assert list(sup.zero_rows(2)) == [0]
     assert sup.count() == 4
     with pytest.raises(ValueError, match="support mask must be 2-D"):
         BlockSupport(mask.ravel())
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    state_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
-    input_sizes=st.lists(st.integers(1, 4), max_size=4),
-    data=st.data(),
-)
-def test_block_row_indices_match_per_block_ranges(state_sizes, input_sizes, data):
-    # Mixed sizes, blocks in any order and possibly repeated, as a list and
-    # as an array; the empty selection included.
-    part = BlockPartition.from_block_sizes(state_sizes, input_sizes)
-    blocks = data.draw(st.lists(st.integers(0, part.n_row_blocks - 1), max_size=2 * part.n_row_blocks))
-    for chosen in (blocks, np.asarray(blocks, dtype=int), [], np.empty(0, dtype=int)):
-        got = block_row_indices(part, chosen)
-        want = block_row_indices_reference(part.row_offsets, chosen)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)

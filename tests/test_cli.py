@@ -5,15 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksysid import solver
 from blocksysid.blocks import support_pattern
 from blocksysid.cli import build_parser, main
-from blocksysid.experiments import ESTIMATOR_NAMES, build_model, resolve_lambda
+from blocksysid.experiments import ESTIMATOR_NAMES, build_model, estimate, resolve_lambda
 from blocksysid.lti import (
     GENERATOR_PARAMS,
     TrajectoryBatch,
@@ -22,9 +25,16 @@ from blocksysid.lti import (
     model_to_dict,
     save_batch_csv,
     simulate_batch,
+    write_json,
 )
 from blocksysid.metrics import error_norms, mismatch_error
-from blocksysid.solver import EstimatorConfig, solve_block_regularized, solve_least_squares
+from blocksysid.solver import (
+    EstimatorConfig,
+    LeastSquaresUndefined,
+    kkt_residual,
+    solve_block_regularized,
+    solve_least_squares,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,6 +219,56 @@ def test_solve_document(tmp_path, estimator):
     assert np.array_equal(np.asarray(doc["support_mask"], dtype=bool), support.mask)
     assert doc["lambda_d"] == lam
     assert doc["kkt_residual"] >= 0
+
+
+small_generators = st.one_of(
+    st.builds(lambda n, w: {"kind": "synthetic", "n": n, "w": w}, st.integers(4, 6), st.integers(0, 1)),
+    st.builds(lambda masses: {"kind": "mass_spring", "masses": masses}, st.integers(1, 3)),
+    st.builds(
+        lambda agents, state, inp: {"kind": "multi_agent", "agents": agents, "degree": 1, "state_size": state,
+                                    "input_size": inp},
+        st.integers(2, 3), st.integers(1, 2), st.integers(1, 2),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    generator=small_generators,
+    seed=st.integers(0, 3),
+    T=st.integers(2, 4),
+    d=st.integers(4, 40),
+    estimator=st.sampled_from(ESTIMATOR_NAMES),
+    lam=st.one_of(st.just("auto"), st.floats(0.01, 1.0).map(repr)),
+    standardize=st.booleans(),
+)
+def test_solve_document_reads_back_bit_for_bit(generator, seed, T, d, estimator, lam, standardize):
+    # The JSON round trip keeps every bit of the estimate, signed zeros
+    # included, of its support, its weight and its residual.
+    model = build_model(generator, seed)
+    batch = simulate_batch(model, T, d, seed)
+    mode = "schedule" if lam == "auto" else f"fixed:{lam}"
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, out = Path(tmp) / "m.json", Path(tmp) / "est.json"
+        write_json(model_to_dict(model), str(model_path))
+        args = ["solve", "--model", model_path, "--T", T, "--d", d, "--seed", seed, "--estimator", estimator,
+                "--lambda", lam, "--standardize" if standardize else "--no-standardize", "--out", out]
+        try:
+            theta, support, lam_d, result = estimate(estimator, batch, model.partition, mode, standardize)
+        except LeastSquaresUndefined:
+            assert run_cli(*args) == 2 and not out.exists()
+            return
+        assert run_cli(*args) == 0
+        doc = json.loads(out.read_text())
+    if result is None:
+        lam_d, residual = 0.0, kkt_residual(theta, batch, model.partition, 0.0)
+    else:
+        residual = result.kkt_residual
+    got = np.asarray(doc["theta_hat"], dtype=float)
+    assert got.shape == theta.shape and np.array_equal(got.view(np.uint64), theta.view(np.uint64))
+    assert np.array_equal(np.asarray(doc["support_mask"], dtype=bool), support.mask)
+    assert np.float64(doc["lambda_d"]).tobytes() == np.float64(lam_d).tobytes()
+    assert np.float64(doc["kkt_residual"]).tobytes() == np.float64(residual).tobytes()
 
 
 def test_solve_output_deterministic(tmp_path):

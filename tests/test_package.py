@@ -1,5 +1,6 @@
 """The package's public names: derived from its imports, and enough for the README and demos."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -34,3 +35,31 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from blocksysid import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == blocksysid.__all__
+
+
+def test_every_module_level_public_name_is_exported_or_used():
+    # A public function or class outside __all__ must be read somewhere
+    # besides its own definition: by other code in the package, a demo or
+    # the README.  One that only tests reach is dead surface.
+    sources = sorted((ROOT / "src" / "blocksysid").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in sources}
+    outside = [(ROOT / "README.md").read_text()]
+    outside += [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
+    dead = []
+    for path in sources:
+        for node in ast.parse("\n".join(lines[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in blocksysid.__all__:
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = range(node.lineno - 1, node.end_lineno)
+            used = any(
+                word.search(line)
+                for other in sources
+                for i, line in enumerate(lines[other])
+                if other != path or i not in own
+            )
+            if not used and not any(word.search(text) for text in outside):
+                dead.append(f"{path.stem}.{node.name}")
+    assert not dead, dead

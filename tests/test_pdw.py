@@ -132,24 +132,26 @@ def test_witness_dual_is_the_full_problem_gradient_on_tied_blocks(monkeypatch):
     # a common value, so on-support blocks have tied maxima.  The witness must
     # use the subgradient its restricted solve certifies, which makes its dual
     # the scaled gradient of the full problem at an exact-recovery solution.
-    model = gen_multi_agent(8, 2, 3, 3, 0.2, seed=2)
-    part = model.partition
-    d = 800
-    batch = standardized(simulate_batch(model, 3, d, seed=2))
-    lam = lambda_schedule(part.max_block_size, part.n_col_blocks, part.n_input_blocks, d)
-    truth = support_pattern(model.stacked(), part)
-    with monkeypatch.context() as patch:  # the tighter tolerance is for this solve, not the witness's
-        patch.setattr(solver, "KKT_TOL", 1e-9)
-        full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
-    assert np.array_equal(full.support.mask, truth.mask)
+    # The second model has state blocks of 3 and input blocks of 2, so each
+    # restricted solve and each dual norm spans row blocks of two sizes.
+    for input_size, d in ((3, 800), (2, 3200)):
+        model = gen_multi_agent(8, 2, 3, input_size, 0.2, seed=2)
+        part = model.partition
+        batch = standardized(simulate_batch(model, 3, d, seed=2))
+        lam = lambda_schedule(part.max_block_size, part.n_col_blocks, part.n_input_blocks, d)
+        truth = support_pattern(model.stacked(), part)
+        with monkeypatch.context() as patch:  # the tighter tolerance is for this solve, not the witness's
+            patch.setattr(solver, "KKT_TOL", 1e-9)
+            full = solve_block_regularized(batch, part, EstimatorConfig(lambda_d=lam))
+        assert np.array_equal(full.support.mask, truth.mask)
 
-    report = pdw_check(batch, part, lam, truth)
-    assert report.success
-    Q = batch.X.T @ (batch.Y - batch.X @ full.theta_hat) / (d * lam)
-    for j in range(part.n_col_blocks):
-        for norm, i in zip(report.dual_norms[j], truth.zero_rows(j + 1), strict=True):
-            rows, cols = block_range(part, i + 1, j + 1)
-            assert abs(norm - np.abs(Q[rows, cols]).sum()) < 1e-6
+        report = pdw_check(batch, part, lam, truth)
+        assert report.success
+        Q = batch.X.T @ (batch.Y - batch.X @ full.theta_hat) / (d * lam)
+        for j, on_blocks in enumerate(truth.mask.T):
+            for norm, i in zip(report.dual_norms[j], np.flatnonzero(~on_blocks), strict=True):
+                rows, cols = block_range(part, i + 1, j + 1)
+                assert abs(norm - np.abs(Q[rows, cols]).sum()) < 1e-6
 
 
 def test_witness_deterministic():

@@ -15,6 +15,7 @@ from blocksysid.solver import (
     EstimatorConfig,
     LeastSquaresUndefined,
     kkt_residual,
+    pdw_check,
     solve_block_regularized,
     solve_least_squares,
 )
@@ -589,3 +590,32 @@ def test_kkt_residual_rejects_a_bad_lambda(lam):
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(lambda_d=-0.1)
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"lambda_d": True}, "lambda_d must be a real number, got True"),
+        ({"lambda_d": np.True_}, "lambda_d must be a real number, got np.True_"),
+        ({"lambda_d": None}, "lambda_d must be a real number, got None"),
+        ({"lambda_d": "0.1"}, "lambda_d must be a real number, got '0.1'"),
+        ({"lambda_d": 0.1, "standardize": "no"}, "standardize must be true or false, got 'no'"),
+        ({"lambda_d": 0.1, "standardize": 1}, "standardize must be true or false, got 1"),
+    ],
+)
+def test_estimator_config_names_a_bad_field(kwargs, message):
+    # a bool is not taken as a weight of 1, nor a truthy value as a switch
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EstimatorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("lam", [True, None, "0.1"])
+def test_kkt_residual_and_witness_reject_a_lambda_that_is_not_a_real_number(lam):
+    model = tiny_model(16)
+    batch = simulate_batch(model, 3, 40, seed=16)
+    truth = support_pattern(model.stacked(), model.partition)
+    with pytest.raises(ValueError, match=f"^lambda_d must be a real number, got {re.escape(repr(lam))}$"):
+        kkt_residual(np.zeros(model.partition.shape), batch, model.partition, lam)
+    message = f"witness undefined: needs a positive, finite lambda_d, got {lam!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pdw_check(batch, model.partition, lam, truth)

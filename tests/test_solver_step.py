@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from blocksysid import solver
 from blocksysid.solver import KKT_TOL, _column_dots, _kkt_stack, _prox_stack, _size_groups
 
-from oracles import kkt_stack_reference, prox_stack_reference
+from oracles import block_row_indices_reference, kkt_stack_reference, prox_stack_reference
 
 # Few distinct magnitudes, so blocks tie at their max-abs and some are all zero.
 entries = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -2.5]), st.floats(-4.0, 4.0))
@@ -261,3 +261,37 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
     _, iterations, _ = solver._lockstep_apg(G, stack, solver._lipschitz(G), 0.05, groups)
     assert len(calls) == iterations.max() > 0
     assert sorted(calls, reverse=True) == calls and calls[0] == 4
+
+
+# Runs of one size (state blocks, then input blocks), or sizes that interleave.
+size_lists = st.one_of(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4).map(
+        lambda runs: [p for p, count in runs for _ in range(count)]
+    ),
+    st.lists(st.integers(1, 4), min_size=1, max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sizes=size_lists)
+@example(sizes=[3, 3, 3, 2, 2]).via("state blocks of 3 and input blocks of 2")
+@example(sizes=[2, 1, 2, 1, 3, 3]).via("interleaved")
+def test_size_groups_match_per_block_ranges(sizes):
+    # Each size's block ids in order and their scalar rows as per-block
+    # ranges, for a list, a tuple and an array; a slice exactly when the
+    # rows are contiguous.
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for given_sizes in (sizes, tuple(sizes), np.asarray(sizes)):
+        groups = _size_groups(given_sizes)
+        assert [p for p, _, _ in groups] == sorted(set(sizes))
+        for p, blocks, rows in groups:
+            want_blocks = [b for b, size in enumerate(sizes) if size == p]
+            want_rows = block_row_indices_reference(offsets, want_blocks)
+            assert type(p) is int and blocks.dtype == np.intp and blocks.tolist() == want_blocks
+            contiguous = np.array_equal(want_rows, np.arange(want_rows[0], want_rows[0] + want_rows.size))
+            assert isinstance(rows, slice) == contiguous
+            if contiguous:
+                assert (type(rows.start), type(rows.stop), rows.step) == (int, int, None)
+            else:
+                assert rows.dtype == np.intp
+            assert np.array_equal(np.arange(offsets[-1])[rows], want_rows)

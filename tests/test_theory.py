@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ def _witness_dual_norms(sigma, part, support, make_witness):
     """l1 norm of C^T Z_S on every off-support block, for a witness Z_S per column."""
     ro = part.row_offsets
     norms = []
-    for j in range(1, part.n_col_blocks + 1):
-        on, off = support.nonzero_rows(j), support.zero_rows(j)
+    for j, on_blocks in enumerate(support.mask.T):
+        on, off = np.flatnonzero(on_blocks), np.flatnonzero(~on_blocks)
         idx_on = np.concatenate([np.arange(ro[b], ro[b + 1]) for b in on])
         for b in off:
             idx_b = np.arange(ro[b], ro[b + 1])
             coeffs = np.linalg.solve(sigma[np.ix_(idx_on, idx_on)], sigma[np.ix_(idx_on, idx_b)])
-            Z = make_witness(coeffs, [part.row_sizes[k] for k in on], part.col_sizes[j - 1])
+            Z = make_witness(coeffs, [part.row_sizes[k] for k in on], part.col_sizes[j])
             norms.append(float(np.abs(coeffs.T @ Z).sum()))
     return norms
 
@@ -214,6 +215,11 @@ def test_sample_threshold_validation():
         sample_threshold(1.0, 1, 1, 2, 2, delta=1.5)
     with pytest.raises(ValueError):
         sample_threshold(0.0, 1, 1, 2, 2, delta=0.5)
+    # design_covariance reports kappa = inf for a singular row covariance
+    for kappa in (math.inf, math.nan, -math.inf):
+        message = f"kappa (finite), k_max and D must be positive, got {kappa}, 1, 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_threshold(kappa, 1, 1, 2, 2, delta=0.5)
 
 
 def test_check_assumptions_closed_form():
