@@ -1,8 +1,12 @@
 """Record the golden sweep CSVs that ``tests/test_golden.py`` compares with.
 
 Each ``<name>.config.json`` in this directory is a sweep config.  Recording
-runs it and writes its CSV to ``<name>.csv``, and the numpy and BLAS versions
-to ``versions.json``.  Run it from the repository root:
+runs it through the ``sweep`` command, in a fresh interpreter with BLAS on
+one thread as the benchmark runs it, and writes its CSV to ``<name>.csv``,
+and the numpy and BLAS versions to ``versions.json``.  BLAS reads its thread
+count once, when it loads, and at several threads the least-squares
+estimates, operator norms and condition numbers of the benchmark-sized
+sweeps take other bits.  Run it from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -13,13 +17,18 @@ and the largest relative change.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from blocksysid.experiments import ExperimentConfig, records_to_csv, run_experiment
+import blocksysid
 
 HERE = Path(__file__).resolve().parent
+PACKAGE_PARENT = Path(blocksysid.__file__).resolve().parents[1]
 VERSIONS_PATH = HERE / "versions.json"
 
 
@@ -28,9 +37,21 @@ def golden_names() -> list[str]:
 
 
 def sweep_csv(name: str) -> str:
-    """The CSV that the config ``<name>.config.json`` sweeps to now."""
-    config = ExperimentConfig.from_json_file(str(HERE / f"{name}.config.json"))
-    return records_to_csv(run_experiment(config))
+    """The CSV that the config ``<name>.config.json`` sweeps to now, on one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"{name}.csv"
+        config = HERE / f"{name}.config.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "blocksysid", "sweep", "--config", str(config), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if done.returncode != 0:
+            raise RuntimeError(f"sweep of {name} exited {done.returncode}:\n{done.stderr}")
+        return out.read_bytes().decode()
 
 
 def library_versions() -> dict:
