@@ -141,6 +141,7 @@ class BlockSupport:
 
 def block_range(partition: BlockPartition, i: int, j: int) -> tuple[slice, slice]:
     """Half-open scalar index ranges of block (i, j); block indices are 1-based."""
+    i, j = _int_value("block row", i), _int_value("block column", j)
     if not 1 <= i <= partition.n_row_blocks:
         raise IndexError(f"block row {i} out of range 1..{partition.n_row_blocks}")
     if not 1 <= j <= partition.n_col_blocks:

@@ -12,16 +12,16 @@ every column's iterates are identical to a solve of that column alone.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
-subdifferential of the block norm.  Rows of one entry, unit blocks in a
-one-wide column, skip the projection's sort: the prox and the residual are
-taken in closed form, with the sort path's operations and so its bits.  A
-column's rows, of one entry or of up to 256, take their distances only on
-steps where the l1 bound does not already prove it unconverged: a block's
-l1 excess over lambda_d, over the root of its entry count, never exceeds
-its distance, so a column the bound puts above the tolerance, with a margin
-for rounding, cannot stop, and every column that can stop is measured
-exactly.  The steps at which columns stop, their residuals and the estimate
-keep every bit.
+subdifferential of the block norm.  One sort-and-threshold kernel finds
+every row's shift; a row of one entry, a unit block in a one-wide column,
+takes the sort path's value without the sort, so the prox and the residual
+run one code path for every block width.  A column's rows, of one entry or
+of up to 256, take their distances only on steps where the l1 bound does
+not already prove it unconverged: a block's l1 excess over lambda_d, over
+the root of its entry count, never exceeds its distance, so a column the
+bound puts above the tolerance, with a margin for rounding, cannot stop,
+and every column that can stop is measured exactly.  The steps at which
+columns stop, their residuals and the estimate keep every bit.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
-    theta = _l1_thresholds(np.sort(a)[None, ::-1], radius)[0]
+    theta = _l1_thresholds(a[None], radius)[0]
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
@@ -136,23 +136,36 @@ def prox_linf(v, tau: float) -> np.ndarray:
     return v - project_l1_ball(v, tau)
 
 
-def _l1_thresholds(a_sorted_desc: np.ndarray, radius: float) -> np.ndarray:
+def _l1_thresholds(a: np.ndarray, radius: float) -> np.ndarray:
     """Per-row shift of the sort-and-threshold projection (Duchi et al., 2008).
 
-    Rows are sorted in descending order.  Subtracting the shift and clipping
-    at zero projects a row onto the simplex scaled to ``radius``; for the
-    absolute values of a vector outside the l1 ball of that radius, it is
-    the soft-threshold level of the ball projection.  Entries at
-    ``_SENTINEL`` never enter the support.
+    Subtracting the shift and clipping at zero projects a row of ``a`` onto
+    the simplex scaled to ``radius``; for the absolute values of a vector
+    outside the l1 ball of that radius, it is the soft-threshold level of
+    the ball projection.  Entries at ``_SENTINEL`` never enter the support.
+    A one-entry row's shift is ``v - radius`` without the sort, the sort
+    path's (C_1 - radius) / 1 bit for bit.
     """
-    css = np.cumsum(a_sorted_desc, axis=1)
-    ks = np.arange(1, a_sorted_desc.shape[1] + 1)
-    rho = np.count_nonzero(a_sorted_desc > (css - radius) / ks, axis=1)
+    if a.shape[1] == 1:
+        return a[:, 0] - radius
+    a = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(a, axis=1)
+    ks = np.arange(1, a.shape[1] + 1)
+    rho = np.count_nonzero(a > (css - radius) / ks, axis=1)
     # No entry passes when radius is below the rounding error of the largest
     # one; rho = 1 then makes that entry the shift instead of dividing by 0.
     np.maximum(rho, 1, out=rho)
-    rows = np.arange(a_sorted_desc.shape[0])
+    rows = np.arange(a.shape[0])
     return (css[rows, rho - 1] - radius) / rho
+
+
+def _per_row(reduce, a: np.ndarray) -> np.ndarray:
+    """``reduce(a, axis=1)`` for ``np.sum``, ``np.max`` or ``np.any``; a one-entry row gives its entry.
+
+    A one-entry row is its own sum and max, and nonzero where it is any, so
+    unit blocks skip numpy's per-row reduction loop.
+    """
+    return a[:, 0] if a.shape[1] == 1 else reduce(a, axis=1)
 
 
 def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
@@ -161,21 +174,13 @@ def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
         np.copyto(out, V)
         return out
     a = np.abs(V, out=out)
-    if V.shape[1] == 1:
-        # One-entry rows: the sort path's shift is |v| - tau, and these are its ops.
-        inside = a <= tau
-        shrink = np.subtract(a, tau)
-        np.maximum(np.subtract(a, shrink, out=shrink), 0.0, out=shrink)
-        shrink *= np.sign(V, out=out)
-        np.subtract(V, shrink, out=out)
-        np.copyto(out, 0.0, where=inside)
-        return out
-    outside = np.flatnonzero(a.sum(axis=1) > tau)
+    # numpy's pairwise sum decides which blocks are exact zeros; another order moves bits
+    outside = (_per_row(np.sum, a) > tau).nonzero()[0]
     ao = a[outside]
     out.fill(0.0)
     if outside.size:
         Vo = V[outside]
-        theta = _l1_thresholds(np.sort(ao, axis=1)[:, ::-1], tau)
+        theta = _l1_thresholds(ao, tau)
         out[outside] = Vo - np.sign(Vo) * np.maximum(ao - theta[:, None], 0.0)
     return out
 
@@ -245,7 +250,8 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups, floor: bool 
     |u|_1 = lam, so |g + u|_2 >= |g + u|_1 / sqrt(P) >= (|g|_1 - lam) /
     sqrt(P), and a zero block's value is e.  For P = 1 that bound is a zero
     entry's value by the same ops, and at most |r - y| = |g sign(th) + lam|
-    for a nonzero one, y = r - (r - lam) being lam to within 2 u0 (s + lam).
+    for a nonzero one, the kernel's shift being r - lam and so y = r - (r -
+    lam) being lam to within 2 u0 (s + lam).
     In rounding (u0 = 2**-53, to first order, s the floor's |g|_1, summed in
     any order): each sum of |g| errs by at most (P - 1) u0 s, which the
     margin covers many times for a zero block's e.  The sort path's tests
@@ -285,60 +291,39 @@ def _kkt_stack(x: np.ndarray, grad: np.ndarray, lam: float, groups, floor: bool 
     for Th, Qm in row_sets:
         if live.size < k:  # the live columns' rows only
             Th, Qm = (a.reshape(k, -1, a.shape[1])[live].reshape(-1, a.shape[1]) for a in (Th, Qm))
-        per_row = _kkt_entries(Th[:, 0], Qm[:, 0], lam) if Th.shape[1] == 1 else _kkt_wide_rows(Th, Qm, lam)
+        per_row = _kkt_rows(Th, Qm, lam)
         worst[live] = np.maximum(worst[live], per_row.reshape(live.size, -1).max(axis=1))
     return worst
 
 
-def _kkt_wide_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
-    """:func:`_kkt_stack`'s distances for rows of several entries, ``Qm`` as scratch.
+def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`_kkt_stack`'s distances for rows of one size, ``Qm`` as scratch.
 
     Zero rows give their l1 excess; nonzero rows take the distance by
     projecting onto the simplex of radius lam over their max entries.
     """
-    nz = np.flatnonzero(Th.any(axis=1))
+    nz = _per_row(np.any, Th).nonzero()[0]
     Thn = Th[nz]
     Qn = np.negative(Qm[nz])
-    per_row = np.abs(Qm, out=Qm).sum(axis=1)
+    per_row = _per_row(np.sum, np.abs(Qm, out=Qm))
     per_row -= lam
     np.maximum(per_row, 0.0, out=per_row)
-    vmax = np.abs(Thn).max(axis=1)
-    on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax)[:, None]
+    an = np.abs(Thn)
+    on_max = an >= ((1.0 - TIE_RTOL) * _per_row(np.max, an))[:, None]
     r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
     # projection onto the simplex of radius lam over the max entries
-    y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
+    y = np.maximum(r - _l1_thresholds(r, lam)[:, None], 0.0)
     with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
-        dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
-        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
+        dist2 = _per_row(np.sum, np.where(on_max, 0.0, Qn) ** 2)
+        dist2 += _per_row(np.sum, np.where(on_max, r - y, 0.0) ** 2)
     per_row[nz] = np.sqrt(dist2)
-    big = ~np.isfinite(dist2)
-    if big.any():
+    if not np.isfinite(dist2).all():
+        big = ~np.isfinite(dist2)
         terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
         top = terms.max(axis=1)
-        per_row[nz[big]] = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
-    return per_row
-
-
-def _kkt_entries(th: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """:func:`_kkt_stack`'s distances for one-entry rows by the sort path's ops, g as scratch.
-
-    A zero entry gives max(|g| - lam, 0), a nonzero one sqrt((r - y)^2) with
-    r = -g sign(th) and y = max(r - (r - lam), 0), or |r - y| where the square
-    overflows.
-    """
-    per_row = np.abs(g)
-    per_row -= lam
-    np.maximum(per_row, 0.0, out=per_row)
-    sq = np.sign(th)
-    np.negative(np.multiply(g, sq, out=g), out=g)  # r
-    np.subtract(g, np.subtract(g, lam, out=sq), out=sq)
-    np.maximum(sq, 0.0, out=sq)  # y
-    np.subtract(g, sq, out=g)  # r - y
-    with np.errstate(over="ignore"):
-        np.square(g, out=sq)
-    np.sqrt(sq, out=sq)
-    np.abs(g, out=sq, where=np.isinf(sq))
-    np.copyto(per_row, sq, where=th != 0.0)
+        with np.errstate(invalid="ignore"):  # inf / inf: a row with an infinite term is inf away
+            scaled = top * np.sqrt(((terms / top[:, None]) ** 2).sum(axis=1))
+        per_row[nz[big]] = np.where(np.isinf(top), top, scaled)
     return per_row
 
 

@@ -22,11 +22,12 @@ blocks it is the usual l1 norm of the regression coefficients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, block_abs_max, support_pattern
+from .blocks import BlockPartition, BlockSupport, _int_value, block_abs_max, support_pattern
 from .lti import SystemModel, design_covariance
 
 
@@ -101,6 +102,11 @@ def min_block_magnitude(theta_star: np.ndarray, partition: BlockPartition) -> fl
     return float(nonzero.min())
 
 
+def _counts(**counts) -> tuple[int, ...]:
+    """The named counts, in order; a bool or a non-integer is rejected by name."""
+    return tuple(_int_value(name, value) for name, value in counts.items())
+
+
 def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     """Regularization weight sqrt(2 (D^2 + D log(n_bar+m_bar)) / d).
 
@@ -108,6 +114,7 @@ def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     as 1/sqrt(d) and grows with the block size and the log of the block
     count, so no per-instance tuning is needed.
     """
+    D, n_bar, m_bar, d = _counts(D=D, n_bar=n_bar, m_bar=m_bar, d=d)
     if d < 1:
         raise ValueError("d must be at least 1")
     if D < 1:
@@ -118,12 +125,16 @@ def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     return math.sqrt(2.0 * (D * D + D * math.log(total)) / d)
 
 
-def sample_threshold(kappa: float, k_max: int, D: int, n_bar, m_bar, delta: float) -> int:
+def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, delta: float) -> int:
     """Sample-count threshold for reliable support recovery.
 
     Returns ``ceil(kappa^2 * k_max * (D log(n_bar+m_bar) + D^2 log(1/delta)))``,
     the bound with its absolute constant, which is not derivable, set to one.
     """
+    k_max, D, n_bar, m_bar = _counts(k_max=k_max, D=D, n_bar=n_bar, m_bar=m_bar)
+    for name, value in (("kappa", kappa), ("delta", delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0 < kappa < math.inf or k_max <= 0 or D <= 0:
         raise ValueError(f"kappa (finite), k_max and D must be positive, got {kappa!r}, {k_max!r}, {D!r}")
     total = n_bar + m_bar

@@ -4,9 +4,9 @@ Each ``<name>.config.json`` in this directory is a sweep config.  Recording
 runs it through the ``sweep`` command, in a fresh interpreter with BLAS on
 one thread as the benchmark runs it, and writes its CSV to ``<name>.csv``,
 and the numpy and BLAS versions to ``versions.json``.  BLAS reads its thread
-count once, when it loads, and at several threads the least-squares
-estimates, operator norms and condition numbers of the benchmark-sized
-sweeps take other bits.  Run it from the repository root:
+count once, when it loads, and at several threads the error norms of both
+estimators and the condition numbers of the benchmark-sized sweeps take
+other bits.  Run it from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 

@@ -7,7 +7,9 @@ the estimator, normal equations instead of an orthogonal factorization
 for least squares, one trajectory at a time instead of chunks for the
 simulator, and one simulation per point instead of one per horizon and
 seed for the sweep.  The step-kernel references are the solver's former
-allocating kernels, which the in-place ones must match bit for bit.
+allocating kernels, which the in-place ones must match bit for bit; they
+take each row's shift from their own copy of the sort-and-threshold rule,
+which sorts every row, one-entry rows included.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from blocksysid.blocks import _offsets, support_pattern
 from blocksysid.experiments import ExperimentRecord, build_model, estimate
 from blocksysid.lti import eigen_ratio, simulate_batch
 from blocksysid.metrics import error_norms, mismatch_error, rme, rst
-from blocksysid.solver import _SENTINEL, TIE_RTOL, LeastSquaresUndefined, _l1_thresholds
+from blocksysid.solver import _SENTINEL, TIE_RTOL, LeastSquaresUndefined
 from blocksysid.theory import check_assumptions
 
 
@@ -239,6 +241,15 @@ def sweep_per_point_reference(config):
     return records
 
 
+def l1_thresholds_reference(a, radius):
+    """Per-row shift of the sort-and-threshold projection (Duchi et al., 2008), every row sorted."""
+    a = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(a, axis=1)
+    ks = np.arange(1, a.shape[1] + 1)
+    rho = np.maximum(np.count_nonzero(a > (css - radius) / ks, axis=1), 1)
+    return (css[np.arange(a.shape[0]), rho - 1] - radius) / rho
+
+
 def _block_rows_reference(stack, rows, p):
     return stack[:, rows].reshape(-1, p * stack.shape[2])
 
@@ -253,7 +264,7 @@ def prox_rows_reference(V, tau):
     if np.any(outside):
         Vo = V[outside]
         ao = a[outside]
-        theta = _l1_thresholds(np.sort(ao, axis=1)[:, ::-1], tau)
+        theta = l1_thresholds_reference(ao, tau)
         out[outside] = Vo - np.sign(Vo) * np.maximum(ao - theta[:, None], 0.0)
     return out
 
@@ -290,7 +301,7 @@ def kkt_stack_reference(x, grad, lam, groups):
         Qn = Qm[nz]
         on_max = np.abs(Thn) >= ((1.0 - TIE_RTOL) * vmax[nz])[:, None]
         r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
-        y = np.maximum(r - _l1_thresholds(np.sort(r, axis=1)[:, ::-1], lam)[:, None], 0.0)
+        y = np.maximum(r - l1_thresholds_reference(r, lam)[:, None], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows are measured again
             dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
             dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)

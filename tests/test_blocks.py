@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,24 @@ def test_block_range_out_of_range():
         block_range(part, 4, 1)
     with pytest.raises(IndexError):
         block_range(part, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (True, 1, "block row must be an integer, got True"),
+        (1.5, 1, "block row must be an integer, got 1.5"),
+        (1, True, "block column must be an integer, got True"),
+        (1, "1", "block column must be an integer, got '1'"),
+    ],
+)
+def test_block_range_names_a_bad_index(i, j, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        block_range(BlockPartition.scalar(3, 2), i, j)
+
+
+def test_block_range_takes_numpy_integers():
+    assert block_range(BlockPartition.scalar(3, 2), np.int64(2), np.int32(1)) == (slice(1, 2), slice(0, 1))
 
 
 def block_norm(theta, part):

@@ -239,22 +239,22 @@ def test_benchmark_solves_stack_sizes(monkeypatch, generator, d, sizes):
 
 @pytest.mark.parametrize("generator, d, sorts", [(SCALAR, 400, False), (AGENTS, 200, True)])
 def test_only_wide_block_rows_take_the_sort_path(monkeypatch, generator, d, sorts):
-    # Unit blocks step in closed form, so the sweep_scalar solve sorts no
-    # row; the multi-agent solve's 5x5 blocks do.
+    # A unit block's shift needs no sort, so no row of the sweep_scalar
+    # solve reaches one; rows of the multi-agent solve's 5x5 blocks do.
     model = build_model(generator, 0)
     batch = simulate_batch(model, 3, d, seed=0)
     lam = resolve_lambda("schedule", model.partition, d)
-    thresholds = solver._l1_thresholds
-    calls = []
+    sort = np.sort
+    sorted_rows = []
 
-    def counting(a_sorted_desc, radius):
-        calls.append(a_sorted_desc.shape[0])
-        return thresholds(a_sorted_desc, radius)
+    def counting(a, axis=-1, **kwargs):
+        sorted_rows.append(a.size // a.shape[axis])
+        return sort(a, axis=axis, **kwargs)
 
-    monkeypatch.setattr(solver, "_l1_thresholds", counting)
+    monkeypatch.setattr(np, "sort", counting)
     res = solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=lam, standardize=True))
     assert res.converged
-    assert (len(calls) > 0) == sorts
+    assert (sum(sorted_rows) > 0) == sorts
 
 
 def floored_against_exact(monkeypatch, model, d):
@@ -269,7 +269,7 @@ def floored_against_exact(monkeypatch, model, d):
     batch = simulate_batch(model, 3, d, seed=0)
     config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, d), standardize=True)
     kkt, lockstep = solver._kkt_stack, solver._lockstep_apg
-    wide_rows, entries = solver._kkt_wide_rows, solver._kkt_entries
+    rows = solver._kkt_rows
     counts = {"evaluated": 0, "measured": 0}
     residuals = []
 
@@ -280,14 +280,10 @@ def floored_against_exact(monkeypatch, model, d):
     def exact_kkt(x, grad, lam, groups, floor=False):
         return kkt(x, grad, lam, groups)
 
-    # one size group per partition, so a measured column runs one of the two on all its rows
-    def counting_wide_rows(Th, Qm, lam):
+    # one size group per partition, so a measured column's rows all take one distance call
+    def counting_rows(Th, Qm, lam):
         counts["measured"] += Th.shape[0] // part.n_row_blocks
-        return wide_rows(Th, Qm, lam)
-
-    def counting_entries(th, g, lam):
-        counts["measured"] += th.shape[0] // part.n_row_blocks
-        return entries(th, g, lam)
+        return rows(Th, Qm, lam)
 
     def recording(*args):
         x, iterations, resid = lockstep(*args)
@@ -301,8 +297,7 @@ def floored_against_exact(monkeypatch, model, d):
         return res, np.concatenate(residuals).tobytes()
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
-    monkeypatch.setattr(solver, "_kkt_wide_rows", counting_wide_rows)
-    monkeypatch.setattr(solver, "_kkt_entries", counting_entries)
+    monkeypatch.setattr(solver, "_kkt_rows", counting_rows)
     floored, floored_residuals = solve(counting_kkt)
     evaluated, measured = counts["evaluated"], counts["measured"]
     exact, exact_residuals = solve(exact_kkt)
@@ -331,7 +326,7 @@ def test_l1_floor_skips_most_sort_path_distances_and_no_bit_moves(monkeypatch):
 )
 def test_l1_floor_on_one_entry_rows_moves_no_bit(monkeypatch, generator, d):
     # Unit blocks: a column whose largest |g| proves it unconverged skips its
-    # closed-form distances (at 6,452 of 6,675 column evaluations of the
+    # one-entry distances (at 6,452 of 6,675 column evaluations of the
     # sweep_scalar solve, at 264 of 413 on the mass-spring one).
     evaluated, measured = floored_against_exact(monkeypatch, build_model(generator, 0), d)
     assert evaluated > 0 and measured < evaluated / 2

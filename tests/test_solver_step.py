@@ -9,9 +9,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blocksysid import solver
-from blocksysid.solver import KKT_TOL, _column_dots, _kkt_stack, _prox_stack, _size_groups
+from blocksysid.solver import (
+    _SENTINEL,
+    KKT_TOL,
+    _column_dots,
+    _kkt_stack,
+    _l1_thresholds,
+    _prox_stack,
+    _size_groups,
+)
 
-from oracles import block_row_indices_reference, kkt_stack_reference, prox_stack_reference
+from oracles import (
+    block_row_indices_reference,
+    kkt_stack_reference,
+    l1_thresholds_reference,
+    prox_stack_reference,
+)
 
 # Few distinct magnitudes, so blocks tie at their max-abs and some are all zero.
 entries = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -2.5]), st.floats(-4.0, 4.0))
@@ -33,7 +46,7 @@ def stacks(draw, row_sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6), 
 INTERLEAVED = ([1, 2, 1, 2], np.array([[[1.0], [-1.0], [1.0], [0.0], [0.0], [2.0]]]), np.ones((1, 6, 1)))
 
 
-# One-entry rows only (unit row blocks, width 1), which take the closed form:
+# One-entry rows only (unit row blocks, width 1), whose shift skips the sort:
 # zero and nonzero entries against zero gradients, gradients of both signs
 # past 1e154, where the squares overflow, and ones near 1e-200, where they
 # underflow; one column of 10 rows, and two of 5, the second all small.
@@ -73,10 +86,49 @@ def test_step_kernels_match_allocating_references(case, lam):
     assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
+# The one-entry rows' entries as the prox (|v|) and the distance (r = -g sign(th)) pass them to the shift.
+ONE_ENTRY_SHIFT_INPUTS = np.concatenate([np.abs(_V1), -_V1 * np.sign(_X1), _X1, _V1])[:, None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.one_of(
+        *(
+            arrays(
+                np.float64,
+                st.tuples(st.integers(1, 12), widths),
+                elements=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, top, -top, _SENTINEL]), st.floats(-top, top)),
+            )
+            # wider rows' entries stay where their sums cannot overflow
+            for widths, top in ((st.just(1), 1e308), (st.integers(2, 3), 1e300))
+        )
+    ),
+    radius=st.one_of(st.sampled_from([5e-324, 1e-200, 1.0, 1e300]), st.floats(5e-324, 1e300)),
+)
+@example(a=ONE_ENTRY_SHIFT_INPUTS, radius=5e-324)
+@example(a=ONE_ENTRY_SHIFT_INPUTS, radius=1e-200)
+@example(a=ONE_ENTRY_SHIFT_INPUTS, radius=1e300)
+def test_shift_is_the_sort_paths_for_every_width(a, radius):
+    # A one-entry row skips the sort; its shift is the sorted path's, bit
+    # for bit, signs of zeros included.
+    assert _l1_thresholds(a, radius).tobytes() == l1_thresholds_reference(a, radius).tobytes()
+
+
 def test_kkt_stack_on_max_block_past_the_range_of_squares():
     # the gradient is exactly -lam times a valid subgradient, so the distance is 0
     row_sizes, x, grad = ON_MAX_PAST_SQUARES
     assert np.array_equal(_kkt_stack(x, grad.copy(), 2e200, _size_groups(row_sizes)), [0.0])
+
+
+@pytest.mark.parametrize("row_sizes", [[1], [2]])
+def test_kkt_stack_is_inf_where_a_term_leaves_the_float_range(row_sizes):
+    # r - lam overflows to -inf, so every on-max term r - y is infinite:
+    # the distance is inf, not the rescaling's inf / inf
+    size = sum(row_sizes)
+    x, grad = np.ones((1, size, 1)), np.full((1, size, 1), np.finfo(float).max)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value = _kkt_stack(x, grad, 1e300, _size_groups(row_sizes))
+    assert value.tolist() == [np.inf]
 
 
 # A converged wide block, all four entries on its max, whose gradient is
@@ -88,10 +140,9 @@ CONVERGED_PLUS_T = ([2], np.ones((1, 2, 2)), np.full((1, 2, 2), -(0.25 + 4e-8)))
 
 def measured_alone(x, grad, lam, groups):
     """The floored kernel on one column: its value, and whether any row's distance was taken."""
-    with mock.patch.object(solver, "_kkt_wide_rows", wraps=solver._kkt_wide_rows) as wide, \
-            mock.patch.object(solver, "_kkt_entries", wraps=solver._kkt_entries) as entries:
+    with mock.patch.object(solver, "_kkt_rows", wraps=solver._kkt_rows) as rows:
         value = _kkt_stack(x, grad.copy(), lam, groups, floor=True)
-    return value, wide.called or entries.called
+    return value, rows.called
 
 
 def assert_floor_sound(row_sizes, x, grad, lam):
@@ -123,7 +174,7 @@ one_entry_and_mixed_stacks = stacks(
     widths=st.just(1),
 )
 
-# Weights at which the one-entry closed form's y = r - (r - lam) rounds away
+# Weights at which a one-entry row's y = r - (r - lam) rounds away
 # from lam for some rows of the draws, r = -g sign(th) being far from lam.
 ROUNDING_LAMBDAS = [0.1, 1 / 3, 3e-8, 1e-20]
 

@@ -202,8 +202,7 @@ def test_lambda_schedule_monotonicity():
 
 
 def test_sample_threshold_examples():
-    half_e = math.e / 2
-    assert sample_threshold(1.0, 1, 1, half_e, half_e, delta=1 / math.e) == 2
+    assert sample_threshold(1.0, 1, 1, 1, 1, delta=0.5) == math.ceil(2 * math.log(2)) == 2
     base = 1.0 * 1 * (2 * math.log(40) + 4 * math.log(10))
     assert sample_threshold(2.0, 1, 2, 20, 20, delta=0.1) == math.ceil(4 * base)
     inner = 2 * math.log(40) + 4 * math.log(10)
@@ -220,6 +219,48 @@ def test_sample_threshold_validation():
         message = f"kappa (finite), k_max and D must be positive, got {kappa}, 1, 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_threshold(kappa, 1, 1, 2, 2, delta=0.5)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, True, 1, 2, 2, 0.5), "k_max must be an integer, got True"),
+        ((1.0, 1, 1.5, 2, 2, 0.5), "D must be an integer, got 1.5"),
+        ((1.0, 1, 1, 2.0, 2, 0.5), "n_bar must be an integer, got 2.0"),
+        ((1.0, 1, 1, 2, "2", 0.5), "m_bar must be an integer, got '2'"),
+        (("2", 1, 1, 2, 2, 0.5), "kappa must be a real number, got '2'"),
+        ((None, 1, 1, 2, 2, 0.5), "kappa must be a real number, got None"),
+        ((True, 1, 1, 2, 2, 0.5), "kappa must be a real number, got True"),
+        ((1.0, 1, 1, 2, 2, "0.5"), "delta must be a real number, got '0.5'"),
+        ((1.0, 1, 1, 2, 2, None), "delta must be a real number, got None"),
+    ],
+)
+def test_sample_threshold_names_a_bad_argument(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_threshold(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 2, 2, 100), "D must be an integer, got True"),
+        ((1.5, 2, 2, 100), "D must be an integer, got 1.5"),
+        ((1, 2.0, 2, 100), "n_bar must be an integer, got 2.0"),
+        ((1, 2, None, 100), "m_bar must be an integer, got None"),
+        ((1, 2, 2, 100.5), "d must be an integer, got 100.5"),
+        ((1, 2, 2, False), "d must be an integer, got False"),
+    ],
+)
+def test_lambda_schedule_names_a_bad_argument(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lambda_schedule(*args)
+
+
+def test_schedules_take_numpy_scalars():
+    assert lambda_schedule(np.int64(2), np.int32(2), 2, np.int64(100)) == lambda_schedule(2, 2, 2, 100)
+    assert sample_threshold(np.float64(2.0), np.int64(1), 1, 2, 2, np.float32(0.5)) == sample_threshold(
+        2.0, 1, 1, 2, 2, float(np.float32(0.5))
+    )
 
 
 def test_check_assumptions_closed_form():
