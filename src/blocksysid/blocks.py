@@ -28,6 +28,13 @@ def _int_value(name: str, value) -> int:
     return int(value)
 
 
+def _real_value(name: str, value):
+    """A real number, as given; booleans, strings and None are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _int_tuple(name: str, values) -> tuple[int, ...]:
     """A list field of integers."""
     if not isinstance(values, (list, tuple)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, _check_grid, support_pattern
+from .blocks import BlockPartition, BlockSupport, _check_grid, _real_value, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -np.inf
@@ -73,9 +73,7 @@ class EstimatorConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if isinstance(self.lambda_d, bool) or not isinstance(self.lambda_d, numbers.Real):
-            raise ValueError(f"lambda_d must be a real number, got {self.lambda_d!r}")
-        if not np.isfinite(self.lambda_d) or self.lambda_d < 0:
+        if not np.isfinite(_real_value("lambda_d", self.lambda_d)) or self.lambda_d < 0:
             raise ValueError("lambda_d must be finite and nonnegative")
         if not isinstance(self.standardize, bool):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
@@ -159,15 +157,6 @@ def _l1_thresholds(a: np.ndarray, radius: float) -> np.ndarray:
     return (css[rows, rho - 1] - radius) / rho
 
 
-def _per_row(reduce, a: np.ndarray) -> np.ndarray:
-    """``reduce(a, axis=1)`` for ``np.sum``, ``np.max`` or ``np.any``; a one-entry row gives its entry.
-
-    A one-entry row is its own sum and max, and nonzero where it is any, so
-    unit blocks skip numpy's per-row reduction loop.
-    """
-    return a[:, 0] if a.shape[1] == 1 else reduce(a, axis=1)
-
-
 def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
     """Row-wise prox of ``tau * max-abs`` into ``out``, apart from V; rows in the l1 ball go to 0."""
     if tau == 0:
@@ -175,7 +164,7 @@ def _prox_rows(V: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
         return out
     a = np.abs(V, out=out)
     # numpy's pairwise sum decides which blocks are exact zeros; another order moves bits
-    outside = (_per_row(np.sum, a) > tau).nonzero()[0]
+    outside = np.flatnonzero(a.sum(axis=1) > tau)
     ao = a[outside]
     out.fill(0.0)
     if outside.size:
@@ -302,23 +291,23 @@ def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
     Zero rows give their l1 excess; nonzero rows take the distance by
     projecting onto the simplex of radius lam over their max entries.
     """
-    nz = _per_row(np.any, Th).nonzero()[0]
+    nz = np.flatnonzero(Th.any(axis=1))
     Thn = Th[nz]
     Qn = np.negative(Qm[nz])
-    per_row = _per_row(np.sum, np.abs(Qm, out=Qm))
+    per_row = np.abs(Qm, out=Qm).sum(axis=1)
     per_row -= lam
     np.maximum(per_row, 0.0, out=per_row)
     an = np.abs(Thn)
-    on_max = an >= ((1.0 - TIE_RTOL) * _per_row(np.max, an))[:, None]
+    on_max = an >= ((1.0 - TIE_RTOL) * an.max(axis=1))[:, None]
     r = np.where(on_max, Qn * np.sign(Thn), _SENTINEL)
     # projection onto the simplex of radius lam over the max entries
     y = np.maximum(r - _l1_thresholds(r, lam)[:, None], 0.0)
     with np.errstate(over="ignore"):  # past ~1e154 the squares overflow; rescaled below
-        dist2 = _per_row(np.sum, np.where(on_max, 0.0, Qn) ** 2)
-        dist2 += _per_row(np.sum, np.where(on_max, r - y, 0.0) ** 2)
+        dist2 = (np.where(on_max, 0.0, Qn) ** 2).sum(axis=1)
+        dist2 += (np.where(on_max, r - y, 0.0) ** 2).sum(axis=1)
     per_row[nz] = np.sqrt(dist2)
-    if not np.isfinite(dist2).all():
-        big = ~np.isfinite(dist2)
+    big = ~np.isfinite(dist2)
+    if big.any():
         terms = np.abs(np.where(on_max[big], r[big] - y[big], Qn[big]))
         top = terms.max(axis=1)
         with np.errstate(invalid="ignore"):  # inf / inf: a row with an infinite term is inf away

@@ -22,12 +22,11 @@ blocks it is the usual l1 norm of the regression coefficients.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, _int_value, block_abs_max, support_pattern
+from .blocks import BlockPartition, BlockSupport, _int_value, _real_value, block_abs_max, support_pattern
 from .lti import SystemModel, design_covariance
 
 
@@ -102,11 +101,6 @@ def min_block_magnitude(theta_star: np.ndarray, partition: BlockPartition) -> fl
     return float(nonzero.min())
 
 
-def _counts(**counts) -> tuple[int, ...]:
-    """The named counts, in order; a bool or a non-integer is rejected by name."""
-    return tuple(_int_value(name, value) for name, value in counts.items())
-
-
 def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     """Regularization weight sqrt(2 (D^2 + D log(n_bar+m_bar)) / d).
 
@@ -114,7 +108,8 @@ def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     as 1/sqrt(d) and grows with the block size and the log of the block
     count, so no per-instance tuning is needed.
     """
-    D, n_bar, m_bar, d = _counts(D=D, n_bar=n_bar, m_bar=m_bar, d=d)
+    D, d = _int_value("D", D), _int_value("d", d)
+    n_bar, m_bar = _int_value("n_bar", n_bar), _int_value("m_bar", m_bar)
     if d < 1:
         raise ValueError("d must be at least 1")
     if D < 1:
@@ -131,10 +126,9 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, d
     Returns ``ceil(kappa^2 * k_max * (D log(n_bar+m_bar) + D^2 log(1/delta)))``,
     the bound with its absolute constant, which is not derivable, set to one.
     """
-    k_max, D, n_bar, m_bar = _counts(k_max=k_max, D=D, n_bar=n_bar, m_bar=m_bar)
-    for name, value in (("kappa", kappa), ("delta", delta)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    kappa, delta = _real_value("kappa", kappa), _real_value("delta", delta)
+    k_max, D = _int_value("k_max", k_max), _int_value("D", D)
+    n_bar, m_bar = _int_value("n_bar", n_bar), _int_value("m_bar", m_bar)
     if not 0 < kappa < math.inf or k_max <= 0 or D <= 0:
         raise ValueError(f"kappa (finite), k_max and D must be positive, got {kappa!r}, {k_max!r}, {D!r}")
     total = n_bar + m_bar

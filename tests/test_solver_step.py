@@ -86,6 +86,19 @@ def test_step_kernels_match_allocating_references(case, lam):
     assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
+@pytest.mark.parametrize("row_sizes, nan_block", [([1] * 10, slice(2, 3)), ([2] * 5, slice(2, 4))])
+def test_prox_stack_zeroes_a_row_holding_a_nan(row_sizes, nan_block):
+    # NaN > tau is false, so a row holding a NaN never leaves the l1 ball: it
+    # comes out an exact zero block, one entry wide or two
+    v = _V1.reshape(1, 10, 1).copy()
+    v[0, 2, 0] = np.nan
+    groups = _size_groups(row_sizes)
+    out = np.full_like(v, np.nan)
+    _prox_stack(v, 0.5, groups, out)
+    assert np.array_equal(out, prox_stack_reference(v, 0.5, groups))
+    assert out[0, nan_block, 0].tobytes() == np.zeros(nan_block.stop - nan_block.start).tobytes()
+
+
 # The one-entry rows' entries as the prox (|v|) and the distance (r = -g sign(th)) pass them to the shift.
 ONE_ENTRY_SHIFT_INPUTS = np.concatenate([np.abs(_V1), -_V1 * np.sign(_X1), _X1, _V1])[:, None]
 
