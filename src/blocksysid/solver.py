@@ -7,8 +7,9 @@ The estimator minimizes, over the stacked parameter ``theta``,
 which splits into independent subproblems, one per block column.  The
 subproblems are solved together by accelerated proximal gradient (momentum
 with adaptive restart), block columns of one width stacked and stepped in
-lockstep: a step runs one stacked Gram product for the whole stack, and
-every column's iterates are identical to a solve of that column alone.  The
+lockstep: a step runs one stacked Gram product for the whole stack, every
+column's iterates are identical to a solve of that column alone, and a
+column that stops writes its estimate into its own columns of the grid.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
@@ -326,29 +327,28 @@ def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _lockstep_apg(
-    Gmat: np.ndarray, c: np.ndarray, L: float, lam: float, groups
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accelerated proximal gradient with adaptive restart on a stack of block columns.
+    Gmat: np.ndarray, L: float, lam: float, groups, grid: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accelerated proximal gradient with adaptive restart on a stack of block columns, in place.
 
-    ``c`` is a C-contiguous (k, rows, width) stack of linear terms, one
-    subproblem per column, and the kernel consumes it.  A step runs over the
-    whole stack: one stacked product with ``Gmat`` and one stacked restart
-    dot, whose batch loops make a one-column solve's BLAS calls per column,
-    so each column's iterates are a one-column solve's bit for bit.  ``lam``
-    is the weight, already checked.  A column leaves the stack when its
-    residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps, and parks its
-    iterate in the tail slot of ``c`` that the compaction frees.  The
-    residuals take :func:`_kkt_stack`'s l1 floor on every step but the one
-    that reaches ``MAX_ITER``; a floored column cannot stop, so each column
-    stops on a measured residual at the step the exact one gives, and
-    records it.  Returns the final iterates (k, rows, width) in column
-    order, a view that keeps the step buffers alive, the step counts and
-    the residuals.
+    ``cols`` is a (k, width) array of ``grid``'s scalar columns, one block
+    column per row; ``grid`` holds their linear terms, and a column that
+    stops writes its estimate into its own columns of the grid.  A step runs
+    over the whole stack: one stacked product with ``Gmat`` and one stacked
+    restart dot, whose batch loops make a one-column solve's BLAS calls per
+    column, so each column's iterates are a one-column solve's bit for bit.
+    ``lam`` is the weight, already checked.  A column stops when its
+    residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps.  The residuals
+    take :func:`_kkt_stack`'s l1 floor on every step but the one that
+    reaches ``MAX_ITER``; a floored column cannot stop, so each column stops
+    on a measured residual at the step the exact one gives, and records it.
+    Returns the step counts and the residuals.
     """
-    k = c.shape[0]
+    k, width = cols.shape
+    c = _stack(grid, cols, width)
     iterations = np.zeros(k, dtype=int)
     residuals = np.empty(k)
-    slots = np.arange(k)  # the live columns fill the first n slots
+    live = np.arange(k)  # live[i]: the row of cols that slot i steps
     t = np.ones(k)
     dots = np.empty((k, 1, 1))
     # The step buffers are one block reused in place, so steps do not churn
@@ -357,26 +357,23 @@ def _lockstep_apg(
     x, z, gx, gz, x_new, gx_new = np.zeros((6,) + c.shape)
     n = k
     it = 0
-    resid = _kkt_stack(x, np.subtract(gx, c, out=gx_new), lam, groups, floor=it < MAX_ITER)
     while True:
+        # gx_new holds no live value here: it is the residual's scratch
+        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=gx_new[:n]), lam, groups, floor=it < MAX_ITER)
         done = resid <= KKT_TOL
         if it == MAX_ITER:
             done[:] = True
         if done.any():
-            live = slots[:n]
             iterations[live[done]] = it
             residuals[live[done]] = resid[done]
+            grid[:, cols[live[done]]] = x[:n][done].transpose(1, 0, 2)
             keep = ~done
             m = int(keep.sum())
-            slots[:n] = np.concatenate((live[keep], live[done]))
-            c[:m] = c[:n][keep]
-            c[m:n] = x[:n][done]
             if m == 0:
-                x_new[slots] = c  # column order, in a dead buffer
-                return x_new, iterations, residuals
-            for buf in (x, z, gx, gz):
+                return iterations, residuals
+            for buf in (c, x, z, gx, gz):
                 buf[:m] = buf[:n][keep]
-            n, t = m, t[keep]
+            n, t, live = m, t[keep], live[keep]
         it += 1
         C, X, Z, GX, GZ, XN, GXN = (a[:n] for a in (c, x, z, gx, gz, x_new, gx_new))
         GZ -= C  # gradient at z, in gz's buffer
@@ -398,8 +395,6 @@ def _lockstep_apg(
         t = np.where(restart, 1.0, t_next)
         x, z, x_new = x_new, x, z
         gx, gx_new = gx_new, gx
-        # the old gx is dead: it is the residual's scratch
-        resid = _kkt_stack(x[:n], np.subtract(gx[:n], c[:n], out=gx_new[:n]), lam, groups, floor=it < MAX_ITER)
 
 
 def _stack_cap(rows: int, width: int, d: int, n: int) -> int:
@@ -470,20 +465,15 @@ def solve_block_regularized(
     for width, blocks, _ in _size_groups(partition.col_sizes):
         cap = _stack_cap(theta.shape[0], width, d, partition.n)
         for chunk in np.array_split(blocks, -(-blocks.size // cap)):
-            cols = (co[chunk][:, None] + np.arange(width)).ravel()
-            x, iterations[chunk], residuals[chunk] = _lockstep_apg(
-                G, _stack(theta, cols, width), L, config.lambda_d, row_groups
-            )
-            theta[:, cols] = x.transpose(1, 0, 2).reshape(theta.shape[0], -1)
-            # freed now, not under the next stack's or the result's allocations
-            del x
+            cols = co[chunk][:, None] + np.arange(width)
+            iterations[chunk], residuals[chunk] = _lockstep_apg(G, L, config.lambda_d, row_groups, theta, cols)
     del G
     if scale is not None:
         theta /= scale[:, None]
     return EstimateResult(
         theta_hat=theta,
         support=support_pattern(theta, partition),
-        kkt_residual=float(residuals.max()) if residuals.size else 0.0,
+        kkt_residual=float(residuals.max()),
         iterations=iterations,
         converged=bool((residuals <= KKT_TOL).all()),
     )
@@ -511,6 +501,9 @@ def kkt_residual(
     EstimatorConfig(lambda_d)  # a negative or non-finite weight is rejected by name
     _check_batch(batch, partition)
     theta = _check_grid(theta, partition)
+    if not np.isfinite(theta).all():
+        row = int(np.argmin(np.isfinite(theta).all(axis=1)))
+        raise ValueError(f"non-finite value in theta row {row}")
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
     row_groups = _size_groups(partition.row_sizes)
     worst = 0.0
@@ -564,12 +557,12 @@ def pdw_check(
         G_on /= d
         c_on = X_on.T @ batch.Y[:, cols] / d
         groups = _size_groups(row_sizes[on_blocks])
-        x_on, _, resid = _lockstep_apg(G_on, c_on[None], _lipschitz(G_on), lambda_d, groups)
+        _, resid = _lockstep_apg(G_on, _lipschitz(G_on), lambda_d, groups, c_on, np.arange(c_on.shape[1])[None])
         if not resid[0] <= KKT_TOL:
             raise ValueError(
                 f"witness undefined: restricted solve did not converge in block column {j + 1}"
             )
-        theta[idx_on, cols] = x_on[0]
+        theta[idx_on, cols] = c_on
 
     Q = X.T @ (batch.Y - X @ theta) / (d * lambda_d)
     l1 = np.add.reduceat(np.abs(Q), partition.row_offsets[:-1], axis=0)

@@ -65,10 +65,9 @@ def mutual_incoherence(
     if not support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
     sizes = np.asarray(partition.row_sizes)
-    unit = bool((sizes == 1).all())
     worst = 0.0
     for j, on_blocks in enumerate(support.mask.T):
-        on = on_blocks if unit else np.repeat(on_blocks, sizes)  # per scalar row
+        on = np.repeat(on_blocks, sizes)  # per scalar row
         idx_on = np.flatnonzero(on)
         idx_off = np.flatnonzero(~on)
         if idx_on.size == 0 or idx_off.size == 0:
@@ -82,12 +81,10 @@ def mutual_incoherence(
             ) from None
         # rows: on-support rows s; columns: off-support blocks b; entries
         # sum_{r in b} |C_sr|.  Keep each on-support block's largest row and
-        # sum over the on-support blocks; unit blocks hold one row each.
-        row_l1 = np.abs(coeffs)
-        if not unit:
-            on_sizes, off_sizes = sizes[on_blocks], sizes[~on_blocks]
-            row_l1 = np.add.reduceat(row_l1, np.cumsum(off_sizes) - off_sizes, axis=1)
-            row_l1 = np.maximum.reduceat(row_l1, np.cumsum(on_sizes) - on_sizes, axis=0)
+        # sum over the on-support blocks.
+        on_sizes, off_sizes = sizes[on_blocks], sizes[~on_blocks]
+        row_l1 = np.add.reduceat(np.abs(coeffs), np.cumsum(off_sizes) - off_sizes, axis=1)
+        row_l1 = np.maximum.reduceat(row_l1, np.cumsum(on_sizes) - on_sizes, axis=0)
         worst = max(worst, float(row_l1.sum(axis=0).max()))
     return 1.0 - worst
 

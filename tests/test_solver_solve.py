@@ -150,10 +150,10 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
     kernel = solver._lockstep_apg
     calls = []
 
-    def recording(Gmat, c, L, lam, groups):
-        c_in = c.copy()  # the kernel consumes its input stack
-        out = kernel(Gmat, c, L, lam, groups)
-        calls.append((Gmat, c_in, L, lam, groups, out))
+    def recording(Gmat, L, lam, groups, grid, cols):
+        c_in = grid[:, cols.ravel()]  # the kernel overwrites its linear terms
+        out = kernel(Gmat, L, lam, groups, grid, cols)
+        calls.append((Gmat, L, lam, groups, c_in, cols, grid[:, cols.ravel()]))
         return out
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
@@ -162,16 +162,18 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
 
     its = joint.iterations
     assert (its == solver.MAX_ITER).any() and (its < solver.MAX_ITER).any()
-    assert max(c.shape[0] for _, c, *_ in calls) == 3
+    assert max(cols.shape[0] for *_, cols, _ in calls) == 3
     # stacks run by width, then by block column
     order = sorted(range(part.n_col_blocks), key=lambda j: (part.col_sizes[j], j))
-    stacked = [(call, i) for call in calls for i in range(call[1].shape[0])]
+    stacked = [(call, i) for call in calls for i in range(call[5].shape[0])]
     assert len(stacked) == part.n_col_blocks
     co = part.col_offsets
-    for j, ((Gmat, c, L, lam, groups, (x, _, _)), i) in zip(order, stacked):
-        x1, its1, resid1 = kernel(Gmat, c[i : i + 1], L, lam, groups)
-        assert np.array_equal(x1[0], joint.theta_hat[:, co[j] : co[j + 1]])
-        assert np.array_equal(x1[0], x[i])
+    for j, ((Gmat, L, lam, groups, c, cols, x), i) in zip(order, stacked):
+        width = cols.shape[1]
+        x1 = c[:, i * width : (i + 1) * width].copy()
+        its1, resid1 = kernel(Gmat, L, lam, groups, x1, np.arange(width)[None])
+        assert np.array_equal(x1, joint.theta_hat[:, co[j] : co[j + 1]])
+        assert np.array_equal(x1, x[:, i * width : (i + 1) * width])
         assert its1[0] == its[j]
         assert resid1[0] <= solver.KKT_TOL or its1[0] == solver.MAX_ITER
 
@@ -227,10 +229,10 @@ def test_benchmark_solves_stack_sizes(monkeypatch, generator, d, sizes):
     batch = TrajectoryBatch(X=rng.standard_normal((d, part.shape[0])), Y=rng.standard_normal((d, part.n)))
     seen = []
 
-    def record_stack(Gmat, c, L, cfg, groups):
-        k = c.shape[0]
+    def record_stack(Gmat, L, lam, groups, grid, cols):
+        k = cols.shape[0]
         seen.append(k)
-        return np.zeros_like(c), np.zeros(k, dtype=int), np.zeros(k)
+        return np.zeros(k, dtype=int), np.zeros(k)
 
     monkeypatch.setattr(solver, "_lockstep_apg", record_stack)
     solve_block_regularized(batch, part, EstimatorConfig(lambda_d=0.1, standardize=True))
@@ -286,9 +288,9 @@ def floored_against_exact(monkeypatch, model, d):
         return rows(Th, Qm, lam)
 
     def recording(*args):
-        x, iterations, resid = lockstep(*args)
+        iterations, resid = lockstep(*args)
         residuals.append(resid)
-        return x, iterations, resid
+        return iterations, resid
 
     def solve(kkt_stack):
         monkeypatch.setattr(solver, "_kkt_stack", kkt_stack)
@@ -389,10 +391,10 @@ def test_step_respects_the_largest_gram_eigenvalue(monkeypatch):
     lam_max = np.linalg.norm(X, 2) ** 2 / batch.d
     steps = []
 
-    def record_step(Gmat, c, L, lam, groups):
+    def record_step(Gmat, L, lam, groups, grid, cols):
         steps.append(L)
-        k = c.shape[0]
-        return np.zeros_like(c), np.zeros(k, dtype=int), np.zeros(k)
+        k = cols.shape[0]
+        return np.zeros(k, dtype=int), np.zeros(k)
 
     monkeypatch.setattr(solver, "_lockstep_apg", record_step)
     solve_block_regularized(batch, model.partition, EstimatorConfig(lambda_d=0.1, standardize=True))
@@ -614,3 +616,15 @@ def test_kkt_residual_and_witness_reject_a_lambda_that_is_not_a_real_number(lam)
     message = f"witness undefined: needs a positive, finite lambda_d, got {lam!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pdw_check(batch, model.partition, lam, truth)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kkt_residual_rejects_a_non_finite_estimate(bad):
+    # max() drops a NaN distance, so such an estimate would read 0.0, a perfect certificate
+    part = BlockPartition.scalar(2, 1)
+    rng = np.random.default_rng(0)
+    batch = TrajectoryBatch(X=rng.standard_normal((10, 3)), Y=rng.standard_normal((10, 2)))
+    theta = np.zeros(part.shape)
+    theta[1, 0] = bad
+    with pytest.raises(ValueError, match="^non-finite value in theta row 1$"):
+        kkt_residual(theta, batch, part, 0.1)

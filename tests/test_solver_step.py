@@ -310,7 +310,6 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
     X = rng.standard_normal((60, 12))
     G = X.T @ X / 60
     c = X.T @ rng.standard_normal((60, 12)) / 60
-    stack = np.ascontiguousarray(c.reshape(12, 4, 3).transpose(1, 0, 2))
     groups = _size_groups([2, 1, 2, 1, 3, 3])
     calls = []
 
@@ -322,9 +321,51 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
 
     monkeypatch.setattr(solver, "_column_dots", recording)
     monkeypatch.setattr(solver, "MAX_ITER", 200)
-    _, iterations, _ = solver._lockstep_apg(G, stack, solver._lipschitz(G), 0.05, groups)
+    iterations, _ = solver._lockstep_apg(G, solver._lipschitz(G), 0.05, groups, c, np.arange(12).reshape(4, 3))
     assert len(calls) == iterations.max() > 0
     assert sorted(calls, reverse=True) == calls and calls[0] == 4
+
+
+@st.composite
+def grid_solves(draw):
+    """(G, groups, lam, grid, cols, max_iter): a stack of random grid columns, in random order.
+
+    Each grid column's linear terms take one of three scales, so against the
+    weight some stop at step 0, some converge within a few steps and some
+    run until ``max_iter``; the live columns then compact out of order.
+    """
+    row_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    width = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    n_cols = k * width + draw(st.integers(0, 4))
+    order = draw(st.permutations(range(n_cols)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    rows = sum(row_sizes)
+    X = rng.standard_normal((3 * rows, rows))
+    grid = rng.standard_normal((rows, n_cols)) * rng.choice([1e-3, 0.3, 3.0], size=n_cols)
+    cols = np.array(order[: k * width]).reshape(k, width)
+    lam = draw(st.floats(0.02, 0.5))
+    return X.T @ X / (3 * rows), _size_groups(row_sizes), lam, grid, cols, draw(st.integers(5, 30))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=grid_solves())
+def test_lockstep_writes_each_column_its_one_column_solve_in_place(case):
+    # Each solved column of the grid holds its one-column solve bit for bit,
+    # with its step count and residual, and no other column of the grid moves.
+    G, groups, lam, grid, cols, max_iter = case
+    L = solver._lipschitz(G)
+    before = grid.copy()
+    with mock.patch.object(solver, "MAX_ITER", max_iter):
+        iterations, residuals = solver._lockstep_apg(G, L, lam, groups, grid, cols)
+        for i, col in enumerate(cols):
+            alone = before[:, col]
+            its1, resid1 = solver._lockstep_apg(G, L, lam, groups, alone, np.arange(col.size)[None])
+            assert grid[:, col].tobytes() == alone.tobytes()
+            assert its1[0] == iterations[i] and resid1[0] == residuals[i]
+    outside = np.setdiff1d(np.arange(grid.shape[1]), cols)
+    assert grid[:, outside].tobytes() == before[:, outside].tobytes()
 
 
 # Runs of one size (state blocks, then input blocks), or sizes that interleave.
