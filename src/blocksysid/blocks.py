@@ -35,6 +35,12 @@ def _real_value(name: str, value):
     return value
 
 
+def _finite_rows(name: str, arr: np.ndarray) -> None:
+    """Reject a 2-D array holding a NaN or an infinity, naming its first such row."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {name} row {int(np.argmin(np.isfinite(arr).all(axis=1)))}")
+
+
 def _int_tuple(name: str, values) -> tuple[int, ...]:
     """A list field of integers."""
     if not isinstance(values, (list, tuple)):

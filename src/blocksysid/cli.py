@@ -19,6 +19,18 @@ from .experiments import (
 from .solver import kkt_residual
 from .theory import check_assumptions
 
+# One gen flag per generator parameter, counts as ints; kinds and defaults come from the table.
+_GEN_FLAGS = (
+    ("n", "state dimension"),
+    ("w", "band width"),
+    ("masses", "mass count"),
+    ("agents", "agent count"),
+    ("degree", "neighbors per agent"),
+    ("state_size", "per-agent state block size"),
+    ("input_size", "per-agent input block size"),
+    ("dt", "forward-Euler sampling time"),
+)
+
 
 def _param_help(name: str, text: str) -> str:
     """Help for a gen flag: the kinds that take the parameter, with their defaults."""
@@ -42,8 +54,8 @@ def _lambda_arg(text: str) -> str:
 
 
 def _cmd_gen(args) -> int:
-    required, optional, _ = GENERATOR_PARAMS[args.generator]
-    gen = {key: getattr(args, key) for key in (*required, *optional) if getattr(args, key) is not None}
+    # every flag given goes to the generator, whose parameter rule rejects one its kind does not take
+    gen = {name: getattr(args, name) for name, _ in _GEN_FLAGS if getattr(args, name) is not None}
     write_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
     return 0
 
@@ -51,6 +63,8 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     model = load_model(args.model)
     if args.batch:
+        if args.T is not None or args.d is not None:
+            raise ValueError("solve takes --batch, or --T and --d to simulate one, but not both")
         batch = load_batch_csv(args.batch)
     else:
         if args.T is None or args.d is None:
@@ -97,17 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a benchmark system as a model JSON file")
     p_gen.add_argument("--generator", required=True, choices=tuple(GENERATOR_PARAMS))
-    # one flag per generator parameter, counts as ints; kinds and defaults come from the table
-    for name, text in (
-        ("n", "state dimension"),
-        ("w", "band width"),
-        ("masses", "mass count"),
-        ("agents", "agent count"),
-        ("degree", "neighbors per agent"),
-        ("state_size", "per-agent state block size"),
-        ("input_size", "per-agent input block size"),
-        ("dt", "forward-Euler sampling time"),
-    ):
+    for name, text in _GEN_FLAGS:
         p_gen.add_argument(
             "--" + name.replace("_", "-"), type=float if name == "dt" else int, help=_param_help(name, text)
         )

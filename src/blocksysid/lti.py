@@ -6,26 +6,27 @@ of d independent trajectories, each started at x[0] = 0 and run to horizon T,
 contributes only its final transition to the regression data: the design row
 ``[x[T-1]^T u[T-1]^T]``, the observation row ``x[T]^T``, and the last-step
 disturbance ``w[T-1]^T``.  Trajectory i draws from the PCG64 stream of
-``np.random.SeedSequence(seed).spawn(d)[i]``; the seed words of all d
-children come from one vectorized pass of numpy's seed-sequence hash.  The
-simulator steps trajectories in chunks sized from one scratch budget for
-all of a chunk's buffers, allocated once per call, with batched
-matrix-vector products that reproduce the per-trajectory recurrence bit for
-bit.  A diagonal noise factor, which every generator has, scales the normals
-in place, which gives the same bits as its matrix-vector product.
+``np.random.SeedSequence(seed).spawn(d)[i]``.  Every child starts from the
+entropy pool that numpy's ``SeedSequence(seed)`` mixes once; only the
+spawn keys and the output stage of the seed-sequence hash run here, for all
+d children in one vectorized pass.  The simulator steps trajectories in
+chunks sized from one scratch budget for all of a chunk's buffers,
+allocated once per call, with batched matrix-vector products that
+reproduce the per-trajectory recurrence bit for bit.  A diagonal noise
+factor, which every generator has, scales the normals in place, which gives
+the same bits as its matrix-vector product.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BlockPartition, _int_value
+from .blocks import BlockPartition, _finite_rows, _int_value, _real_value
 
 SYMMETRY_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -57,9 +58,9 @@ def _float_matrix(name: str, value) -> np.ndarray:
 def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> None:
     if sigma.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {sigma.shape}")
-    if sigma.size and np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
     if sigma.size:
+        if np.abs(sigma - sigma.T).max() > SYMMETRY_TOL:
+            raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
         evals = np.linalg.eigvalsh(sigma)
         if evals[0] < -EIG_TOL * max(1.0, evals[-1]):
             raise ValueError(f"{name} has negative eigenvalue {evals[0]:.3e}")
@@ -67,8 +68,6 @@ def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> None:
 
 def _noise_factor(sigma: np.ndarray) -> np.ndarray:
     """Symmetric F with F F^T = sigma, singular sigma allowed; its 1-D diagonal when F is diagonal."""
-    if sigma.size == 0:
-        return np.zeros(0)
     evals, vecs = np.linalg.eigh(sigma)
     fac = vecs * np.sqrt(np.clip(evals, 0.0, None))
     diag = np.diagonal(fac)
@@ -132,9 +131,8 @@ class TrajectoryBatch:
             raise ValueError("W must match the shape of Y")
         for name, arr in (("X", X), ("Y", Y), ("W", W)):
             object.__setattr__(self, name, arr)
-            if arr is not None and not np.isfinite(arr).all():
-                row = int(np.argmin(np.isfinite(arr).all(axis=1)))
-                raise ValueError(f"non-finite value in {name} row {row}")
+            if arr is not None:
+                _finite_rows(name, arr)
 
     @property
     def d(self) -> int:
@@ -162,20 +160,17 @@ class CovarianceReport:
 def _spawned_states(seed: int, d: int) -> np.ndarray:
     """(d, 4) uint64 words of ``SeedSequence(seed).spawn(d)[i].generate_state(4, np.uint64)``.
 
-    Child i hashes the seed's 32-bit words, least significant first and
-    zero-padded to the pool size, followed by the spawn key i.  The hash
-    constants do not depend on the data, so they are Python ints masked to 32
-    bits, and only the words are uint32 arrays: (1,) until the spawn key
-    enters, (d,) after, so every child is hashed in the same array pass.
+    Child i hashes the seed's 32-bit words, zero-padded to the pool size,
+    then its spawn key i.  The seed's part is ``SeedSequence(seed).pool``,
+    after 16 hashes, four per pool word and twelve to mix the pool, and four
+    more for each seed word past the pool size; so only the spawn key and
+    the output stage run here.  The hash constants do not depend on the
+    data, so they are Python ints masked to 32 bits, and only the words are
+    uint32 arrays: (1,) until the spawn key enters, (d,) after, so every
+    child is hashed in the same array pass.
     """
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(d, dtype=np.uint32))
-    hash_const = _INIT_A
+    extra_words = max(0, -(-seed.bit_length() // 32) - _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -188,14 +183,10 @@ def _spawned_states(seed: int, d: int) -> np.ndarray:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    key = np.arange(d, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        pool[dst] = mix(pool[dst], hashmix(key))
 
     hash_const = _INIT_B
     state = np.empty((d, 2 * _POOL_SIZE), dtype=np.uint32)
@@ -265,8 +256,9 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     smaller d through ``_regression_batch`` of its first d rows of X and W.
     This is the one-horizon call of ``_simulate_horizons``, through which a
     sweep simulates each seed once for all of its horizons.
-    ``_spawned_states`` hashes the seed words of all d children at once, and
-    numpy's PCG64 seeds itself from them as it would from the child.  Within
+    ``_spawned_states`` hashes the spawn keys of all d children into the
+    parent's pool at once, and numpy's PCG64 seeds itself from the words as
+    it would from the child.  Within
     a trajectory the draws are chronological, which keeps the stored
     last-step disturbance independent of everything that enters the design
     row.
@@ -433,7 +425,7 @@ def _benchmark_model(A: np.ndarray, B: np.ndarray, partition: BlockPartition) ->
 
 
 def _sampling_time(dt) -> None:
-    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0 < dt <= sys.float_info.max:
+    if not 0 < _real_value("sampling time dt", dt) <= sys.float_info.max:
         raise ValueError(f"sampling time dt must be a finite, positive number, got {dt!r}")
 
 
@@ -512,6 +504,7 @@ def gen_synthetic(n: int, w: int, seed: int) -> SystemModel:
     off-band, off-diagonal entries of +/-0.3 at positions drawn without
     replacement.
     """
+    seed = _seed(seed)
     _synthetic_params(n, w)
     rng = np.random.default_rng(seed)
     A = np.eye(n)
@@ -561,6 +554,7 @@ def gen_multi_agent(
     both A and B.  Populated block entries are drawn uniformly from
     [-0.4, -0.3] union [0.3, 0.4].
     """
+    seed = _seed(seed)
     _multi_agent_params(agents, degree, state_size, input_size, dt)
     rng = np.random.default_rng(seed)
     n = agents * state_size
@@ -644,33 +638,31 @@ def load_model(path: str) -> SystemModel:
     return model_from_dict(read_json_object(path), source=path)
 
 
+def _batch_columns(n: int, m: int) -> list[str]:
+    """The batch file's header: x[T-1] entries, u[T-1] entries, x[T] entries."""
+    return [f"x_{k}" for k in range(n)] + [f"u_{k}" for k in range(m)] + [f"y_{k}" for k in range(n)]
+
+
 def save_batch_csv(batch: TrajectoryBatch, path: str) -> None:
-    """One row per trajectory: x[T-1] entries, u[T-1] entries, x[T] entries."""
+    """One row per trajectory, under the header of ``_batch_columns``."""
     n = batch.Y.shape[1]
-    m = batch.X.shape[1] - n
-    header = (
-        [f"x_{k}" for k in range(n)]
-        + [f"u_{k}" for k in range(m)]
-        + [f"y_{k}" for k in range(n)]
-    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_batch_columns(n, batch.X.shape[1] - n))
         for i in range(batch.d):
             writer.writerow([repr(float(v)) for v in batch.X[i]] + [repr(float(v)) for v in batch.Y[i]])
 
 
 def load_batch_csv(path: str) -> TrajectoryBatch:
+    """The batch a file of ``save_batch_csv``'s layout holds; its header must be that layout's exactly."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty batch file") from None
-        n = sum(1 for name in header if name.startswith("x_"))
-        m = sum(1 for name in header if name.startswith("u_"))
-        n_y = sum(1 for name in header if name.startswith("y_"))
-        if n == 0 or n_y != n or n + m + n_y != len(header):
+        n = sum(1 for name in header if name.startswith("y_"))
+        if n == 0 or header != _batch_columns(n, len(header) - 2 * n):
             raise ValueError(f"{path}: header does not match the x/u/y batch layout")
         rows = []
         for lineno, row in enumerate(reader, start=2):
@@ -684,6 +676,6 @@ def load_batch_csv(path: str) -> TrajectoryBatch:
     if data.size == 0:
         raise ValueError(f"{path}: batch file has no data rows")
     try:
-        return TrajectoryBatch(X=data[:, : n + m], Y=data[:, n + m :])
+        return TrajectoryBatch(X=data[:, :-n], Y=data[:, -n:])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

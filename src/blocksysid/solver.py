@@ -27,12 +27,11 @@ columns stop, their residuals and the estimate keep every bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPartition, BlockSupport, _check_grid, _real_value, support_pattern
+from .blocks import BlockPartition, BlockSupport, _check_grid, _finite_rows, _real_value, support_pattern
 from .lti import TrajectoryBatch
 
 _SENTINEL = -np.inf
@@ -317,15 +316,6 @@ def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
     return per_row
 
 
-def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-column inner products of two (n, rows, width) stacks, bit-equal to np.vdot's.
-
-    The batch loop of the (n, 1, K) @ (n, K, 1) matmul makes np.vdot's BLAS call per column.
-    """
-    n = a.shape[0]
-    return np.matmul(a.reshape(n, 1, -1), b.reshape(n, -1, 1), out=out[:n])[:, 0, 0]
-
-
 def _lockstep_apg(
     Gmat: np.ndarray, L: float, lam: float, groups, grid: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +324,10 @@ def _lockstep_apg(
     ``cols`` is a (k, width) array of ``grid``'s scalar columns, one block
     column per row; ``grid`` holds their linear terms, and a column that
     stops writes its estimate into its own columns of the grid.  A step runs
-    over the whole stack: one stacked product with ``Gmat`` and one stacked
-    restart dot, whose batch loops make a one-column solve's BLAS calls per
-    column, so each column's iterates are a one-column solve's bit for bit.
+    over the whole stack: one stacked product with ``Gmat`` and one
+    ``np.vecdot`` of restart dots, whose loops make a one-column solve's BLAS
+    calls per column (``np.vdot``'s ``ddot`` for a dot), so each column's
+    iterates are a one-column solve's bit for bit.
     ``lam`` is the weight, already checked.  A column stops when its
     residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps.  The residuals
     take :func:`_kkt_stack`'s l1 floor on every step but the one that
@@ -350,7 +341,6 @@ def _lockstep_apg(
     residuals = np.empty(k)
     live = np.arange(k)  # live[i]: the row of cols that slot i steps
     t = np.ones(k)
-    dots = np.empty((k, 1, 1))
     # The step buffers are one block reused in place, so steps do not churn
     # the heap and the block is freed whole; six separate ones split the
     # heap's free space, and sweep_agents peaked 3 MB higher.
@@ -382,7 +372,7 @@ def _lockstep_apg(
         np.matmul(Gmat, XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
-        restart = _column_dots(dz, dx, dots) > 0  # momentum points uphill
+        restart = np.vecdot(dz.reshape(n, -1), dx.reshape(n, -1)) > 0  # momentum points uphill
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = ((t - 1.0) / t_next)[:, None, None]
         np.multiply(beta, dx, out=X)  # next z, in x's buffer
@@ -501,9 +491,7 @@ def kkt_residual(
     EstimatorConfig(lambda_d)  # a negative or non-finite weight is rejected by name
     _check_batch(batch, partition)
     theta = _check_grid(theta, partition)
-    if not np.isfinite(theta).all():
-        row = int(np.argmin(np.isfinite(theta).all(axis=1)))
-        raise ValueError(f"non-finite value in theta row {row}")
+    _finite_rows("theta", theta)
     grad = batch.X.T @ (batch.X @ theta - batch.Y) / batch.d
     row_groups = _size_groups(partition.row_sizes)
     worst = 0.0
@@ -535,7 +523,7 @@ def pdw_check(
     _check_batch(batch, partition)
     if not true_support.matches(partition):
         raise ValueError("support mask shape does not match the partition")
-    if isinstance(lambda_d, bool) or not isinstance(lambda_d, numbers.Real) or not 0 < lambda_d < np.inf:
+    if not 0 < _real_value("lambda_d", lambda_d) < np.inf:
         raise ValueError(f"witness undefined: needs a positive, finite lambda_d, got {lambda_d!r}")
 
     X, d, co = batch.X, batch.d, partition.col_offsets

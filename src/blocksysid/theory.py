@@ -122,6 +122,7 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, d
 
     Returns ``ceil(kappa^2 * k_max * (D log(n_bar+m_bar) + D^2 log(1/delta)))``,
     the bound with its absolute constant, which is not derivable, set to one.
+    A bound past the float range is a ValueError that names kappa, k_max and D.
     """
     kappa, delta = _real_value("kappa", kappa), _real_value("delta", delta)
     k_max, D = _int_value("k_max", k_max), _int_value("D", D)
@@ -133,8 +134,11 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, d
         raise ValueError("need a positive block count")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    value = kappa * kappa * k_max * (D * math.log(total) + D * D * math.log(1.0 / delta))
-    return int(math.ceil(value))
+    try:  # an infinite bound, or a count past the float range, overflows
+        return math.ceil(kappa * kappa * k_max * (D * math.log(total) + D * D * math.log(1.0 / delta)))
+    except OverflowError:
+        message = f"sample threshold overflows a float at kappa={kappa!r}, k_max={k_max!r}, D={D!r}"
+        raise ValueError(message) from None
 
 
 def check_assumptions(model: SystemModel, T: int) -> AssumptionReport:

@@ -87,6 +87,13 @@ def test_gen_names_a_missing_parameter(tmp_path, capsys, args, missing):
          "generator 'multi_agent': degree must lie in [0, 2]"),
         (("--generator", "mass_spring", "--masses", 2, "--dt", -1),
          "generator 'mass_spring': sampling time dt must be a finite, positive number, got -1.0"),
+        # a flag that the kind does not take goes to the generator's rule; it was dropped unread
+        (("--generator", "synthetic", "--n", 6, "--w", 1, "--masses", 3, "--dt", 0.5),
+         "generator 'synthetic': unknown parameter(s) 'dt', 'masses'"),
+        (("--generator", "mass_spring", "--masses", 2, "--state-size", 3),
+         "generator 'mass_spring': unknown parameter(s) 'state_size'"),
+        (("--generator", "multi_agent", "--agents", 4, "--degree", 1, "--n", 8),
+         "generator 'multi_agent': unknown parameter(s) 'n'"),
     ],
 )
 def test_gen_names_a_bad_seed_or_parameter(tmp_path, capsys, args, message):
@@ -390,6 +397,18 @@ def test_solve_without_a_batch_or_horizon_and_count_is_a_config_error(tmp_path, 
     run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)
     assert run_cli("solve", "--model", p, *flags) == 2
     assert capsys.readouterr().err == "error: solve needs --batch, or --T and --d to simulate one\n"
+
+
+@pytest.mark.parametrize("flags", [("--T", 3), ("--d", 20), ("--T", 9, "--d", 5)])
+def test_solve_with_a_batch_and_a_horizon_or_count_is_a_config_error(tmp_path, capsys, flags):
+    # --T and --d were ignored when a batch was given
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)
+    bpath = tmp_path / "batch.csv"
+    save_batch_csv(simulate_batch(load_model(str(p)), 3, 20, seed=0), str(bpath))
+    assert run_cli("solve", "--model", p, "--batch", bpath, *flags) == 2
+    message = "error: solve takes --batch, or --T and --d to simulate one, but not both\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_solve_least_squares_support_counts_any_nonzero_entry(tmp_path, capsys):

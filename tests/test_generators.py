@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,19 @@ def test_multi_agent_validation():
     for state_size, input_size in ((0, 2), (2, 0)):
         with pytest.raises(ValueError, match="agent block sizes must be positive"):
             gen_multi_agent(3, 1, state_size, input_size, dt=0.1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an integer, got True"),
+        (2.0, "seed must be an integer, got 2.0"),
+        (-1, "seed must be nonnegative, got -1"),
+    ],
+)
+def test_seeded_generators_name_a_bad_seed(seed, message):
+    # True was read as seed 1; 2.0 and -1 raised numpy's messages, which name no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_synthetic(6, 1, seed)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_multi_agent(4, 1, 2, 2, 0.2, seed)

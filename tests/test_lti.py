@@ -607,6 +607,9 @@ def test_load_batch_csv_names_the_file_and_the_non_finite_row(tmp_path):
         ("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,2.0\n", "line 3: expected 3 fields, got 2"),
         ("x_0,u_0,y_0\n", "batch file has no data rows"),
         ("x_0,u_0,y_0\n1.0,2.0,3.0\n1.0,abc,3.0\n", "line 3: could not convert string to float: 'abc'"),
+        # columns out of the written order were read by position, as X = [y] or X = [x, y] and Y = [u]
+        ("y_0,x_0\n1.0,2.0\n", "header does not match the x/u/y batch layout"),
+        ("x_0,y_0,u_0\n1.0,2.0,3.0\n", "header does not match the x/u/y batch layout"),
     ],
 )
 def test_load_batch_csv_names_the_file_and_the_layout_fault(tmp_path, text, message):

@@ -611,9 +611,9 @@ def test_kkt_residual_and_witness_reject_a_lambda_that_is_not_a_real_number(lam)
     model = tiny_model(16)
     batch = simulate_batch(model, 3, 40, seed=16)
     truth = support_pattern(model.stacked(), model.partition)
-    with pytest.raises(ValueError, match=f"^lambda_d must be a real number, got {re.escape(repr(lam))}$"):
+    message = f"lambda_d must be a real number, got {lam!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         kkt_residual(np.zeros(model.partition.shape), batch, model.partition, lam)
-    message = f"witness undefined: needs a positive, finite lambda_d, got {lam!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pdw_check(batch, model.partition, lam, truth)
 

@@ -12,7 +12,6 @@ from blocksysid import solver
 from blocksysid.solver import (
     _SENTINEL,
     KKT_TOL,
-    _column_dots,
     _kkt_stack,
     _l1_thresholds,
     _prox_stack,
@@ -289,16 +288,16 @@ def test_l1_floor_measures_a_converged_wide_block():
 @pytest.mark.parametrize("rows", [13, 200])
 def test_stacked_products_equal_per_column_blas_calls(width, k, rows):
     # The kernel steps the live columns in the first n slots of its buffers;
-    # the stacked Gram product and restart dot must give every column the
-    # value of the one-column solve's np.matmul and np.vdot, bit for bit.
+    # the stacked Gram product and the restart dots' np.vecdot must give every
+    # column the value of the one-column solve's np.matmul and np.vdot, bit
+    # for bit.  Run at one and at two BLAS threads (OPENBLAS_NUM_THREADS).
     rng = np.random.default_rng(1000 * rows + 10 * k + width)
     G = rng.standard_normal((rows, rows))
     G = G @ G.T / rows
     buf_x, buf_gx, buf_dz = (rng.standard_normal((k + 2, rows, width)) for _ in range(3))
-    dots = np.empty((k + 2, 1, 1))
     XN, GXN, DZ = buf_x[:k], buf_gx[:k], buf_dz[:k]
     np.matmul(G, XN, out=GXN)
-    values = _column_dots(DZ, XN, dots)
+    values = np.vecdot(DZ.reshape(k, -1), XN.reshape(k, -1))
     for j in range(k):
         assert np.array_equal(GXN[j], np.matmul(G, XN[j]))
         assert values[j] == np.vdot(DZ[j], XN[j])
@@ -312,14 +311,15 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
     c = X.T @ rng.standard_normal((60, 12)) / 60
     groups = _size_groups([2, 1, 2, 1, 3, 3])
     calls = []
+    vecdot = np.vecdot
 
-    def recording(a, b, out):
-        values = _column_dots(a, b, out)
+    def recording(a, b):
+        values = vecdot(a, b)
         calls.append(a.shape[0])
         assert all(values[j] == np.vdot(a[j], b[j]) for j in range(a.shape[0]))
         return values
 
-    monkeypatch.setattr(solver, "_column_dots", recording)
+    monkeypatch.setattr(np, "vecdot", recording)
     monkeypatch.setattr(solver, "MAX_ITER", 200)
     iterations, _ = solver._lockstep_apg(G, solver._lipschitz(G), 0.05, groups, c, np.arange(12).reshape(4, 3))
     assert len(calls) == iterations.max() > 0

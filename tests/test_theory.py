@@ -233,6 +233,11 @@ def test_sample_threshold_validation():
         ((True, 1, 1, 2, 2, 0.5), "kappa must be a real number, got True"),
         ((1.0, 1, 1, 2, 2, "0.5"), "delta must be a real number, got '0.5'"),
         ((1.0, 1, 1, 2, 2, None), "delta must be a real number, got None"),
+        # a bound past the float range raised a bare OverflowError
+        ((1e200, 1, 1, 2, 2, 0.5), "sample threshold overflows a float at kappa=1e+200, k_max=1, D=1"),
+        ((1e150, 10**20, 1, 2, 2, 0.5),
+         "sample threshold overflows a float at kappa=1e+150, k_max=100000000000000000000, D=1"),
+        ((1.0, 1, 10**200, 2, 2, 0.5), f"sample threshold overflows a float at kappa=1.0, k_max=1, D={10**200}"),
     ],
 )
 def test_sample_threshold_names_a_bad_argument(args, message):
