@@ -135,7 +135,8 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, d
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     try:  # an infinite bound, or a count past the float range, overflows
-        return math.ceil(kappa * kappa * k_max * (D * math.log(total) + D * D * math.log(1.0 / delta)))
+        k = float(kappa)  # a numpy scalar would warn on overflow, not raise
+        return math.ceil(k * k * k_max * (D * math.log(total) + D * D * math.log(1.0 / float(delta))))
     except OverflowError:
         message = f"sample threshold overflows a float at kappa={kappa!r}, k_max={k_max!r}, D={D!r}"
         raise ValueError(message) from None

@@ -238,6 +238,9 @@ def test_sample_threshold_validation():
         ((1e150, 10**20, 1, 2, 2, 0.5),
          "sample threshold overflows a float at kappa=1e+150, k_max=100000000000000000000, D=1"),
         ((1.0, 1, 10**200, 2, 2, 0.5), f"sample threshold overflows a float at kappa=1.0, k_max=1, D={10**200}"),
+        # a numpy float went through numpy's multiply, which warned before the bound overflowed
+        ((np.float64(1e200), 1, 1, 2, 2, 0.5),
+         "sample threshold overflows a float at kappa=np.float64(1e+200), k_max=1, D=1"),
     ],
 )
 def test_sample_threshold_names_a_bad_argument(args, message):

@@ -5,8 +5,8 @@ token of a statement, by the tokenizer and the AST: blank lines, comment
 lines and the lines of module, class and function docstrings are left out,
 and a statement spread over several lines counts each of them.
 
-Run from the repository root: ``python tools/src_lines.py``, or give
-another package directory as the one argument.
+Run from the repository root: ``python tools/src_lines.py``.  To count an
+older checkout, run that checkout's own copy.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
-    rows = [(path.name, *count(path.read_text())) for path in sorted(package.glob("*.py"))]
+def main() -> int:
+    rows = [(path.name, *count(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
