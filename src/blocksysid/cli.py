@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import sys
 
 from .lti import GENERATOR_PARAMS, load_batch_csv, load_model, model_to_dict, simulate_batch, write_json
@@ -53,10 +55,29 @@ def _lambda_arg(text: str) -> str:
     return mode
 
 
+@functools.cache
+def _openblas() -> tuple | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None where none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({path for path in (line.split()[-1] for line in fh) if "openblas" in path.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
 def _cmd_gen(args) -> int:
     # every flag given goes to the generator, whose parameter rule rejects one its kind does not take
     gen = {name: getattr(args, name) for name, _ in _GEN_FLAGS if getattr(args, name) is not None}
-    write_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed)), args.out)
+    if args.seed is not None and args.generator == "mass_spring":  # the one generator with nothing random
+        raise ValueError("gen --generator mass_spring takes no --seed: the model has no random part")
+    write_json(model_to_dict(build_model({"kind": args.generator, **gen}, args.seed or 0)), args.out)
     return 0
 
 
@@ -65,11 +86,13 @@ def _cmd_solve(args) -> int:
     if args.batch:
         if args.T is not None or args.d is not None:
             raise ValueError("solve takes --batch, or --T and --d to simulate one, but not both")
+        if args.seed is not None:
+            raise ValueError("solve --batch takes no --seed, which seeds the simulation that --batch replaces")
         batch = load_batch_csv(args.batch)
     else:
         if args.T is None or args.d is None:
             raise ValueError("solve needs --batch, or --T and --d to simulate one")
-        batch = simulate_batch(model, args.T, args.d, args.seed)
+        batch = simulate_batch(model, args.T, args.d, args.seed or 0)
     theta, support, lam, result = estimate(
         args.estimator, batch, model.partition, args.lambda_d, args.standardize
     )
@@ -115,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_gen.add_argument(
             "--" + name.replace("_", "-"), type=float if name == "dt" else int, help=_param_help(name, text)
         )
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, help="model seed (default 0); mass_spring takes none")
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -124,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--batch", help="batch CSV file; otherwise simulate with --T/--d/--seed")
     p_solve.add_argument("--T", type=int, help="horizon for simulation")
     p_solve.add_argument("--d", type=int, help="trajectory count for simulation")
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, help="seed of the simulated batch (default 0)")
     p_solve.add_argument(
         "--lambda",
         dest="lambda_d",
@@ -156,9 +179,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with numpy's OpenBLAS on one thread.
+
+    So the output's bytes do not depend on the thread count that OpenBLAS
+    started with; the caller's count is set again on return.
+    """
     args = build_parser().parse_args(argv)
+    blas = _openblas()
+    if blas is None:
+        print("warning: no OpenBLAS found to run on one thread; output may depend on the BLAS thread count",
+              file=sys.stderr)
+    else:
+        threads = blas[0]()
+        blas[1](1)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if blas is not None:
+            blas[1](threads)

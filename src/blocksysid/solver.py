@@ -7,9 +7,12 @@ The estimator minimizes, over the stacked parameter ``theta``,
 which splits into independent subproblems, one per block column.  The
 subproblems are solved together by accelerated proximal gradient (momentum
 with adaptive restart), block columns of one width stacked and stepped in
-lockstep: a step runs one stacked Gram product for the whole stack, every
-column's iterates are identical to a solve of that column alone, and a
-column that stops writes its estimate into its own columns of the grid.  The
+lockstep: a step runs one stacked Gram product for the whole stack, still
+one BLAS call per column, every column's iterates are identical to a solve
+of that column alone, and a column that stops writes its estimate into its
+own columns of the grid.  A large stack's product splits its columns over
+the caller and one helper thread where two CPUs are usable, which moves no
+bit, since each column's product stays one BLAS call of its own.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
@@ -27,6 +30,8 @@ columns stop, their residuals and the estimate keep every bit.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,12 @@ TIE_RTOL = 1e-6
 # The stopping rule: a column stops at a residual of at most KKT_TOL, or unconverged after MAX_ITER steps.
 KKT_TOL = 1e-7
 MAX_ITER = 50_000
+
+# A step's stacked Gram product of at least this many multiply-adds (rows**2
+# * width * live columns) splits over two threads.  The hand-off costs about
+# 30 us, and below this size a split gains little or loses (measured at one
+# BLAS thread on a 2-vCPU VM).
+_SPLIT_MADDS = 2**22
 
 # Rows of 1 to this many entries may floor a column's residual by their l1
 # excess, for which _kkt_stack proves that the floor never stops a column.
@@ -316,6 +327,57 @@ def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
     return per_row
 
 
+_helper = None  # (pid, job queue) of the helper thread for split products, started on first use
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _gram_helper(jobs) -> None:
+    """The helper thread's loop: each job's product, answered with None or the exception it raised.
+
+    A job's arrays are dropped before the answer, so that no stack outlives its solve.
+    """
+    while True:
+        Gmat, XN, out, done = jobs.get()
+        try:
+            np.matmul(Gmat, XN, out=out)
+            err = None
+        except BaseException as exc:
+            err = exc
+        del Gmat, XN, out
+        done.put(err)
+
+
+def _split_matmul(Gmat: np.ndarray, XN: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(Gmat, XN, out=out)``, the back half of the stack's columns on the helper thread.
+
+    Either half is still one BLAS call per column, so every bit is the
+    serial product's.  The helper's exception, if any, is raised here, and
+    nothing returns before both halves are written.
+    """
+    import queue  # here, so that a process that never splits does not load it
+
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():  # a forked child has no helper thread
+        _helper = (os.getpid(), queue.SimpleQueue())
+        threading.Thread(target=_gram_helper, args=(_helper[1],), name="blocksysid-gram", daemon=True).start()
+    h = XN.shape[0] // 2
+    done = queue.SimpleQueue()
+    _helper[1].put((Gmat, XN[h:], out[h:], done))
+    try:
+        np.matmul(Gmat, XN[:h], out=out[:h])
+    finally:
+        err = done.get()
+    if err is not None:
+        raise err
+
+
 def _lockstep_apg(
     Gmat: np.ndarray, L: float, lam: float, groups, grid: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +389,10 @@ def _lockstep_apg(
     over the whole stack: one stacked product with ``Gmat`` and one
     ``np.vecdot`` of restart dots, whose loops make a one-column solve's BLAS
     calls per column (``np.vdot``'s ``ddot`` for a dot), so each column's
-    iterates are a one-column solve's bit for bit.
+    iterates are a one-column solve's bit for bit.  A product of at least
+    ``_SPLIT_MADDS`` multiply-adds over two or more live columns, with two
+    CPUs usable, runs through :func:`_split_matmul`: the same calls per
+    column, half of them on a helper thread.
     ``lam`` is the weight, already checked.  A column stops when its
     residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps.  The residuals
     take :func:`_kkt_stack`'s l1 floor on every step but the one that
@@ -345,6 +410,8 @@ def _lockstep_apg(
     # the heap and the block is freed whole; six separate ones split the
     # heap's free space, and sweep_agents peaked 3 MB higher.
     x, z, gx, gz, x_new, gx_new = np.zeros((6,) + c.shape)
+    per_col = Gmat.shape[0] ** 2 * width  # multiply-adds of one column's product
+    may_split = k * per_col >= _SPLIT_MADDS and _cpus() > 1  # the stack only shrinks
     n = k
     it = 0
     while True:
@@ -369,7 +436,10 @@ def _lockstep_apg(
         GZ -= C  # gradient at z, in gz's buffer
         GZ /= L
         _prox_stack(np.subtract(Z, GZ, out=GZ), lam / L, groups, out=XN)
-        np.matmul(Gmat, XN, out=GXN)
+        if may_split and n > 1 and n * per_col >= _SPLIT_MADDS:
+            _split_matmul(Gmat, XN, GXN)
+        else:
+            np.matmul(Gmat, XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
         restart = np.vecdot(dz.reshape(n, -1), dx.reshape(n, -1)) > 0  # momentum points uphill

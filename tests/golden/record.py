@@ -3,10 +3,11 @@
 Each ``<name>.config.json`` in this directory is a sweep config.  Recording
 runs it through the ``sweep`` command, in a fresh interpreter with BLAS on
 one thread as the benchmark runs it, and writes its CSV to ``<name>.csv``,
-and the numpy and BLAS versions to ``versions.json``.  BLAS reads its thread
-count once, when it loads, and at several threads the error norms of both
-estimators and the condition numbers of the benchmark-sized sweeps take
-other bits.  Run it from the repository root:
+and the numpy and BLAS versions to ``versions.json``.  At several BLAS
+threads the error norms of both estimators and the condition numbers of the
+benchmark-sized sweeps take other bits; the command line runs OpenBLAS on
+one thread whatever ``OPENBLAS_NUM_THREADS`` says, which the tests check by
+sweeping at two.  Run it from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -36,9 +37,9 @@ def golden_names() -> list[str]:
     return sorted(path.name.removesuffix(".config.json") for path in HERE.glob("*.config.json"))
 
 
-def sweep_csv(name: str) -> str:
-    """The CSV that the config ``<name>.config.json`` sweeps to now, on one BLAS thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def sweep_csv(name: str, blas_threads: int = 1) -> str:
+    """The CSV that the config ``<name>.config.json`` sweeps to now, BLAS started on ``blas_threads``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / f"{name}.csv"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksysid import solver
+from blocksysid import cli, solver
 from blocksysid.blocks import support_pattern
 from blocksysid.cli import build_parser, main
 from blocksysid.experiments import ESTIMATOR_NAMES, build_model, estimate, resolve_lambda
@@ -94,6 +94,9 @@ def test_gen_names_a_missing_parameter(tmp_path, capsys, args, missing):
          "generator 'mass_spring': unknown parameter(s) 'state_size'"),
         (("--generator", "multi_agent", "--agents", 4, "--degree", 1, "--n", 8),
          "generator 'multi_agent': unknown parameter(s) 'n'"),
+        # mass_spring draws nothing; --seed 7 wrote the model that --seed 0 writes
+        (("--generator", "mass_spring", "--masses", 2, "--seed", 7),
+         "gen --generator mass_spring takes no --seed: the model has no random part"),
     ],
 )
 def test_gen_names_a_bad_seed_or_parameter(tmp_path, capsys, args, message):
@@ -109,7 +112,8 @@ def test_gen_names_a_bad_seed_or_parameter(tmp_path, capsys, args, message):
 )
 def test_gen_fills_defaults_from_the_table(capsys, kind, args):
     flags = [str(a) for key, value in args.items() for a in (f"--{key}", value)]
-    assert run_cli("gen", "--generator", kind, *flags, "--seed", 3) == 0
+    seed = ("--seed", 3) if kind == "multi_agent" else ()  # mass_spring takes no seed
+    assert run_cli("gen", "--generator", kind, *flags, *seed) == 0
     _, defaults, _ = GENERATOR_PARAMS[kind]
     expected = model_to_dict(build_model({"kind": kind, **args, **defaults}, seed=3))
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
@@ -409,6 +413,57 @@ def test_solve_with_a_batch_and_a_horizon_or_count_is_a_config_error(tmp_path, c
     assert run_cli("solve", "--model", p, "--batch", bpath, *flags) == 2
     message = "error: solve takes --batch, or --T and --d to simulate one, but not both\n"
     assert capsys.readouterr() == ("", message)
+
+
+def test_solve_with_a_batch_and_a_seed_is_a_config_error(tmp_path, capsys):
+    # --seed seeds the simulation that --batch replaces; it was ignored
+    p = tmp_path / "m.json"
+    run_cli("gen", "--generator", "mass_spring", "--masses", 2, "--out", p)
+    bpath = tmp_path / "batch.csv"
+    save_batch_csv(simulate_batch(load_model(str(p)), 3, 20, seed=0), str(bpath))
+    assert run_cli("solve", "--model", p, "--batch", bpath, "--seed", 5) == 2
+    message = "error: solve --batch takes no --seed, which seeds the simulation that --batch replaces\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "kind, flags", [("synthetic", ("--n", 6, "--w", 1)), ("multi_agent", ("--agents", 4, "--degree", 1))]
+)
+def test_an_unset_seed_is_seed_zero(tmp_path, capsys, kind, flags):
+    # gen, and solve when it simulates its batch, read an unset --seed as 0
+    model = tmp_path / "m.json"
+    outputs = []
+    for seed in ((), ("--seed", 0)):
+        assert run_cli("gen", "--generator", kind, *flags, *seed, "--out", model) == 0
+        assert run_cli("solve", "--model", model, "--T", 3, "--d", 30, *seed) == 0
+        outputs.append((model.read_text(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def test_the_command_line_runs_blas_on_one_thread_and_restores_the_count(tmp_path, monkeypatch):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    get, put = blas
+    before = get()
+    put(2)
+    caller = get()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_check", lambda args: seen.append(get()) or 0)
+    try:
+        assert run_cli("check", "--model", tmp_path / "m.json", "--T", 3) == 0
+        assert seen == [1]
+        assert get() == caller
+    finally:
+        put(before)
+
+
+def test_the_command_line_says_when_it_finds_no_openblas(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--out", tmp_path / "m.json") == 0
+    warning = "warning: no OpenBLAS found to run on one thread; output may depend on the BLAS thread count\n"
+    assert capsys.readouterr() == ("", warning)
+    assert (tmp_path / "m.json").is_file()
 
 
 def test_solve_least_squares_support_counts_any_nonzero_entry(tmp_path, capsys):

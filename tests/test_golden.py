@@ -52,3 +52,12 @@ def test_sweep_csv_matches_its_golden(name):
             f"{name}.csv: {first_difference(golden, got)}\n"
             f"recorded with {recorded}, running {library_versions()}"
         )
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_command_line_sweep_at_two_blas_threads_matches_its_golden(name):
+    # The front end runs numpy's OpenBLAS on one thread, so the bytes do not
+    # depend on the thread count that OpenBLAS started with.
+    golden = (VERSIONS_PATH.parent / f"{name}.csv").read_bytes().decode()
+    got = sweep_csv(name, blas_threads=2)
+    assert got == golden, f"{name}.csv at two BLAS threads: {first_difference(golden, got)}"

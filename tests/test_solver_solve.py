@@ -1,6 +1,13 @@
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,11 +189,12 @@ SCALAR = {"kind": "synthetic", "n": 100, "w": 2}
 AGENTS = {"kind": "multi_agent", "agents": 40, "degree": 3, "state_size": 5, "input_size": 5}
 
 
-@pytest.mark.parametrize("problem", ["mixed", "agents"])
-def test_stack_split_never_changes_a_solve(monkeypatch, problem):
-    # Stacks of one column, of three and of every column of a width give the
-    # solve of the default split bit for bit.  MAX_ITER stops some columns of
-    # a stack while others converge first, so columns leave out of order.
+def stacked_problem(monkeypatch, problem):
+    """The mixed-width solve or the AGENTS d=200 one, as (batch, partition, config).
+
+    MAX_ITER stops some columns of a stack while others converge first, so
+    columns leave a stack out of order.
+    """
     if problem == "mixed":
         batch, part = mixed_problem(0, (2, 1, 3, 1, 2, 1), (2, 1), d=100)
         config = EstimatorConfig(lambda_d=0.1)
@@ -197,16 +205,129 @@ def test_stack_split_never_changes_a_solve(monkeypatch, problem):
         lam = resolve_lambda("schedule", part, batch.d)
         config = EstimatorConfig(lambda_d=lam, standardize=True)
         monkeypatch.setattr(solver, "MAX_ITER", 44)
+    return batch, part, config
+
+
+def assert_same_solve(res, base):
+    assert np.array_equal(res.theta_hat, base.theta_hat)
+    assert np.array_equal(np.signbit(res.theta_hat), np.signbit(base.theta_hat))
+    assert np.array_equal(res.iterations, base.iterations)
+    assert res.kkt_residual == base.kkt_residual
+    assert res.converged == base.converged
+
+
+@pytest.mark.parametrize("problem", ["mixed", "agents"])
+def test_stack_split_never_changes_a_solve(monkeypatch, problem):
+    # Stacks of one column, of three and of every column of a width give the
+    # solve of the default split bit for bit.
+    batch, part, config = stacked_problem(monkeypatch, problem)
     base = solve_block_regularized(batch, part, config)
     assert (base.iterations < solver.MAX_ITER).any() and (base.iterations == solver.MAX_ITER).any()
     for cap in (1, 3, part.n_col_blocks + 1):
         monkeypatch.setattr(solver, "_stack_cap", lambda *args, cap=cap: cap)
-        res = solve_block_regularized(batch, part, config)
-        assert np.array_equal(res.theta_hat, base.theta_hat)
-        assert np.array_equal(np.signbit(res.theta_hat), np.signbit(base.theta_hat))
-        assert np.array_equal(res.iterations, base.iterations)
-        assert res.kkt_residual == base.kkt_residual
-        assert res.converged == base.converged
+        assert_same_solve(solve_block_regularized(batch, part, config), base)
+
+
+@pytest.mark.parametrize("problem", ["mixed", "agents"])
+def test_gram_product_split_over_two_threads_never_changes_a_solve(monkeypatch, problem):
+    # With the threshold at 0, every step of a stack of two or more live
+    # columns splits its Gram product between the caller and the helper
+    # thread, odd column counts included; stacks of one never split.  The
+    # solve is the serial one bit for bit.
+    batch, part, config = stacked_problem(monkeypatch, problem)
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+    base = solve_block_regularized(batch, part, config)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_SPLIT_MADDS", 0)
+    split, live = solver._split_matmul, []
+
+    def recording(Gmat, XN, out):
+        live.append(XN.shape[0])
+        split(Gmat, XN, out)
+
+    monkeypatch.setattr(solver, "_split_matmul", recording)
+    for cap in (1, 3, part.n_col_blocks + 1):
+        monkeypatch.setattr(solver, "_stack_cap", lambda *args, cap=cap: cap)
+        live.clear()
+        assert_same_solve(solve_block_regularized(batch, part, config), base)
+        assert live if cap > 1 else not live
+        assert all(n > 1 for n in live)
+        assert any(n % 2 for n in live) == (cap > 1)
+
+
+def test_split_gram_product_raises_the_helpers_error(monkeypatch):
+    # An exception in the helper's half reaches the caller, after both halves
+    # ran, and the helper takes the next product as before.
+    rng = np.random.default_rng(3)
+    G, XN = rng.standard_normal((7, 7)), rng.standard_normal((5, 7, 2))
+    out = np.zeros_like(XN)
+    matmul = np.matmul
+
+    def failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("helper's half")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_off_the_main_thread)
+    with pytest.raises(FloatingPointError, match="helper's half"):
+        solver._split_matmul(G, XN, out)
+    assert np.array_equal(out[:2], matmul(G, XN[:2])) and not out[2:].any()
+    monkeypatch.setattr(np, "matmul", matmul)
+    solver._split_matmul(G, XN, out)
+    assert np.array_equal(out, matmul(G, XN))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_on_a_helper_of_its_own():
+    # A child forked after a split inherits the helper's job queue but not
+    # its thread; handing that queue work would wait forever.
+    rng = np.random.default_rng(4)
+    G, XN = rng.standard_normal((9, 9)), rng.standard_normal((4, 9, 3))
+    out = np.zeros_like(XN)
+    solver._split_matmul(G, XN, out)
+    pid = os.fork()
+    if pid == 0:  # the child exits 0 only if its split product is right
+        code = 1
+        try:
+            child = np.zeros_like(XN)
+            solver._split_matmul(G, XN, child)
+            code = 0 if np.array_equal(child, out) else 1
+        finally:
+            os._exit(code)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split product never finished")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_scalar_benchmark_solves_start_no_thread():
+    # sweep_scalar's solves stay below the split threshold: no helper thread
+    # starts and the split's queue module is never imported.  The AGENTS
+    # solve after them splits where two CPUs are usable.
+    code = f"""if True:
+        import sys, threading
+        from blocksysid.experiments import build_model, resolve_lambda
+        from blocksysid.lti import simulate_batch
+        from blocksysid.solver import EstimatorConfig, _cpus, solve_block_regularized
+
+        for generator, ds in (({SCALAR!r}, (100, 200, 400)), ({AGENTS!r}, (200,))):
+            model = build_model(generator, 0)
+            for d in ds:
+                config = EstimatorConfig(resolve_lambda("schedule", model.partition, d), standardize=True)
+                solve_block_regularized(simulate_batch(model, 3, d, 0), model.partition, config)
+            print(threading.active_count(), "queue" in sys.modules, _cpus() > 1)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    scalar, agents = done.stdout.split("\n")[:2]
+    assert scalar.startswith("1 False ")
+    assert agents in ("2 True True", "1 False False")
 
 
 @pytest.mark.parametrize(
