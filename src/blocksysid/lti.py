@@ -8,8 +8,11 @@ contributes only its final transition to the regression data: the design row
 disturbance ``w[T-1]^T``.  Trajectory i draws from the PCG64 stream of
 ``np.random.SeedSequence(seed).spawn(d)[i]``.  Every child starts from the
 entropy pool that numpy's ``SeedSequence(seed)`` mixes once; only the
-spawn keys and the output stage of the seed-sequence hash run here, for all
-d children in one vectorized pass.  The simulator steps trajectories in
+spawn keys and the output stage of the seed-sequence hash run here, and
+then numpy's PCG64 seeding, each for all d children in one vectorized
+pass.  One PCG64 draws every trajectory of a horizon: the trajectory's
+128-bit state and increment are written into that generator's state before
+its draw, and read back after it.  The simulator steps trajectories in
 chunks sized from one scratch budget for all of a chunk's buffers,
 allocated once per call, with batched matrix-vector products that
 reproduce the per-trajectory recurrence bit for bit.  A diagonal noise
@@ -43,6 +46,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+# numpy's PCG64 seeding (pcg64_set_seed): the 128-bit LCG multiplier's words
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def _float_matrix(name: str, value) -> np.ndarray:
@@ -199,18 +204,62 @@ def _spawned_states(seed: int, d: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-class _SpawnedState:
-    """One child's precomputed words, for the ``generate_state(4, np.uint64)`` call of PCG64.
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) uint64 words of a + b mod 2**128; the low words' sum carries into the high word."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
 
-    ``simulate_batch`` registers it as a numpy ``ISeedSequence`` when it runs,
-    not at import, so importing the package does not load ``numpy.random``.
+
+def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
+    """(d, 2, 2) uint64 ``[[state], [inc]]``, low word first, that numpy's PCG64 seeds from each row of ``words``.
+
+    numpy's ``pcg64_set_seed`` reads initstate = (w0, w1) and initseq =
+    (w2, w3), high word first, and sets ``inc = (initseq << 1) | 1`` and
+    ``state = ((inc + initstate) * mult + inc) mod 2**128``.  uint64
+    products wrap mod 2**64; the high word of the low words' product comes
+    from their 32-bit limbs, whose products fit in 64 bits.  The increment
+    and the state are written into the result's columns, which keeps few
+    d-long temporaries live at once.
     """
+    w0, w1, w2, w3 = words.T
+    seeded = np.empty((len(words), 2, 2), dtype=np.uint64)
+    (state_lo, state_hi), (inc_lo, inc_hi) = np.moveaxis(seeded, 0, -1)
+    np.bitwise_or(w2 << 1, w3 >> 63, out=inc_hi)
+    np.bitwise_or(w3 << 1, 1, out=inc_lo)
+    s_hi, s_lo = _add128(inc_hi, inc_lo, w0, w1)
+    a1, a0 = s_lo >> 32, s_lo & _MASK32
+    m1, m0 = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _MASK32
+    mid = a1 * m0 + (a0 * m0 >> 32)
+    carry = (mid & _MASK32) + a0 * m1
+    p_hi = s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI + a1 * m1 + (mid >> 32) + (carry >> 32)
+    state_hi[...], state_lo[...] = _add128(p_hi, s_lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    return seeded
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+def _state_view(bits) -> np.ndarray:
+    """A writable (2, 2) uint64 view of a numpy PCG64's ``[[state], [inc]]``, low word first.
+
+    ``bits.ctypes.state_address`` points to numpy's ``pcg64_state``, whose
+    first field points to the ``pcg64_random_t``: the 128-bit state, then
+    the increment.  A native ``__uint128_t`` build stores the low word of
+    each first, numpy's emulated 128-bit struct the high word; the words
+    are compared with the public ``bits.state`` to tell which, and any other
+    layout is an error.  The view is valid while ``bits`` lives.
+    """
+    import ctypes  # here, so that importing the package loads nothing new
+    import types
+
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    # an array interface, not a ctypes array type: a new ctypes array type
+    # is a reference cycle that only the garbage collector frees
+    memory = {"data": (address, False), "shape": (2, 2), "typestr": np.dtype(np.uint64).str, "version": 3}
+    words = np.asarray(types.SimpleNamespace(__array_interface__=memory))
+    public = bits.state["state"]
+    low_first = [[value & (2**64 - 1), value >> 64] for value in (public["state"], public["inc"])]
+    for view in (words, words[:, ::-1]):
+        if view.tolist() == low_first:
+            return view
+    raise RuntimeError(f"numpy {np.__version__}: PCG64's state matches its public state in neither word order")
 
 
 def _noise_scaling(model: SystemModel, T: int) -> tuple[list, int]:
@@ -257,8 +306,8 @@ def simulate_batch(model: SystemModel, T: int, d: int, seed: int) -> TrajectoryB
     This is the one-horizon call of ``_simulate_horizons``, through which a
     sweep simulates each seed once for all of its horizons.
     ``_spawned_states`` hashes the spawn keys of all d children into the
-    parent's pool at once, and numpy's PCG64 seeds itself from the words as
-    it would from the child.  Within
+    parent's pool at once, and ``_pcg64_seeded`` seeds every child's PCG64
+    state from the words as numpy would from the child.  Within
     a trajectory the draws are chronological, which keeps the stored
     last-step disturbance independent of everything that enters the design
     row.
@@ -286,31 +335,32 @@ def _simulate_horizons(model: SystemModel, horizons, d: int, seed: int):
     """Yield ``(T, simulate_batch(model, T, d, seed))`` for each distinct T, ascending, from one run.
 
     Each later horizon resumes every trajectory where the one before stopped:
-    it restores the trajectory's PCG64 ``state`` and ``inc``, two 128-bit
-    Python ints that every horizon but the last keeps, and steps on from
-    ``x[T_prev] = A x + B u + w`` of the previous last transition, which it
-    then overwrites in X and W.  So a caller drops every view of a batch
-    before it asks for the next.
+    it draws on from the trajectory's PCG64 ``state`` and ``inc``, four
+    uint64 words a trajectory that every horizon but the last writes back,
+    and steps on from ``x[T_prev] = A x + B u + w`` of the previous last
+    transition, which it then overwrites in X and W.  So a caller drops
+    every view of a batch before it asks for the next.
     """
     horizons = sorted({_horizon(T) for T in horizons})
     d, seed = _trajectory_count(d), _seed(seed)
-    np.random.bit_generator.ISeedSequence.register(_SpawnedState)
+    states = _pcg64_seeded(_spawned_states(seed, d))
     X, W = np.empty((d, model.n + model.m)), np.empty((d, model.n))
-    words, saved = _spawned_states(seed, d), [[None] * d, [None] * d] if len(horizons) > 1 else None
     T_prev = 0
     for T in horizons:
-        _advance(model, X, W, T_prev, T, words, saved, keep=T < horizons[-1])
-        words, T_prev = None, T
+        keep = T < horizons[-1]
+        _advance(model, X, W, T_prev, T, states, keep)
+        states, T_prev = (states if keep else None), T  # no states held past the last draw
         yield T, _regression_batch(X, W, model.stacked())
 
 
-def _advance(model: SystemModel, X, W, T_prev: int, T: int, words, saved, keep: bool) -> None:
+def _advance(model: SystemModel, X, W, T_prev: int, T: int, states: np.ndarray, keep: bool) -> None:
     """Run every trajectory from horizon T_prev to T, in place in X and W.
 
-    New trajectories (T_prev = 0) start at x = 0 from their seed ``words``.
-    Resumed ones restore their PCG64 state from ``saved`` and first step
-    from their last transition at T_prev, read back from X and W.  With
-    ``keep``, ``saved`` receives each trajectory's state after its draw.
+    Trajectory i draws from the PCG64 state ``states[i]`` (``_pcg64_seeded``'s
+    layout): one generator takes each trajectory's words in turn, through
+    ``_state_view``.  New trajectories (T_prev = 0) start at x = 0; resumed
+    ones first step from their last transition at T_prev, read back from X
+    and W.  With ``keep``, ``states[i]`` receives the state after the draw.
     """
     n, m, d, rows_new = model.n, model.m, len(X), T - T_prev
     scaling, chunk = _noise_scaling(model, rows_new)
@@ -318,26 +368,19 @@ def _advance(model: SystemModel, X, W, T_prev: int, T: int, words, saved, keep: 
     # ``M @ v`` bit for bit where a gemm across the chunk would not
     normals = np.empty((min(chunk, d), rows_new, n + m))
     x, x_new, Bu = np.empty((3, len(normals), n, 1))
-    # one generator, set to each resumed trajectory's state in turn; standard_normal
-    # draws whole 64-bit words, so no half word is ever pending
+    # standard_normal draws whole 64-bit words, so no half word is ever
+    # pending and the generator's has_uint32 stays unset
     bits = np.random.PCG64(0)
+    view = _state_view(bits)
     rng = np.random.Generator(bits)
-    pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    states, incs = saved or (None, None)
     for start in range(0, d, chunk):
         k = min(chunk, d - start)
         z = normals[:k]
-        for i, row in enumerate(z, start):
-            if T_prev:
-                pcg["state"] = {"state": states[i], "inc": incs[i]}
-                bits.state = pcg
-            else:
-                bits = np.random.PCG64(_SpawnedState(words[i]))
-                rng = np.random.Generator(bits)
+        for row, state in zip(z, states[start : start + k]):
+            view[...] = state
             rng.standard_normal(out=row)
             if keep:
-                state = bits.state["state"]
-                states[i], incs[i] = state["state"], state["inc"]
+                state[...] = view
         for cols, fac in scaling:
             zc = z[:, :, cols]
             if fac.ndim == 2:

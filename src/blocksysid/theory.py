@@ -98,6 +98,18 @@ def min_block_magnitude(theta_star: np.ndarray, partition: BlockPartition) -> fl
     return float(nonzero.min())
 
 
+def _block_count(n_bar, m_bar) -> int:
+    """n_bar + m_bar: two nonnegative integers that count at least one block between them."""
+    total = 0
+    for name, value in (("n_bar", n_bar), ("m_bar", m_bar)):
+        if (count := _int_value(name, value)) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
+        total += count
+    if total < 1:
+        raise ValueError("need at least one block")
+    return total
+
+
 def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     """Regularization weight sqrt(2 (D^2 + D log(n_bar+m_bar)) / d).
 
@@ -106,14 +118,11 @@ def lambda_schedule(D: int, n_bar: int, m_bar: int, d: int) -> float:
     count, so no per-instance tuning is needed.
     """
     D, d = _int_value("D", D), _int_value("d", d)
-    n_bar, m_bar = _int_value("n_bar", n_bar), _int_value("m_bar", m_bar)
+    total = _block_count(n_bar, m_bar)
     if d < 1:
         raise ValueError("d must be at least 1")
     if D < 1:
         raise ValueError("D must be at least 1")
-    total = n_bar + m_bar
-    if total < 1:
-        raise ValueError("need at least one block")
     return math.sqrt(2.0 * (D * D + D * math.log(total)) / d)
 
 
@@ -126,12 +135,9 @@ def sample_threshold(kappa: float, k_max: int, D: int, n_bar: int, m_bar: int, d
     """
     kappa, delta = _real_value("kappa", kappa), _real_value("delta", delta)
     k_max, D = _int_value("k_max", k_max), _int_value("D", D)
-    n_bar, m_bar = _int_value("n_bar", n_bar), _int_value("m_bar", m_bar)
+    total = _block_count(n_bar, m_bar)
     if not 0 < kappa < math.inf or k_max <= 0 or D <= 0:
         raise ValueError(f"kappa (finite), k_max and D must be positive, got {kappa!r}, {k_max!r}, {D!r}")
-    total = n_bar + m_bar
-    if total <= 0:
-        raise ValueError("need a positive block count")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     try:  # an infinite bound, or a count past the float range, overflows

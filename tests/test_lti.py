@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -18,8 +19,10 @@ from blocksysid.lti import (
     SCRATCH_BUDGET_BYTES,
     _noise_factor,
     _noise_scaling,
+    _pcg64_seeded,
     _simulate_horizons,
     _spawned_states,
+    _state_view,
     SystemModel,
     TrajectoryBatch,
     design_covariance,
@@ -232,6 +235,110 @@ def test_spawned_states_equal_seed_sequence_spawn(seed, d):
     assert words.dtype == np.uint64 and words.shape == (d, 4)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
         assert np.array_equal(words[i], child.generate_state(4, np.uint64))
+
+
+# the seeds of test_spawned_states_equal_seed_sequence_spawn: one to past four pool words
+SPAWN_SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32 - 2, 2**32 + 1),
+    st.integers(2**32, 2**128 - 1),
+    st.integers(2**128, 2**300),
+)
+
+
+def _low_first(value):
+    return [value & (2**64 - 1), value >> 64]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=SPAWN_SEEDS, d=st.integers(1, 40))
+@example(seed=0, d=50)
+@example(seed=2**64 + 3, d=50)
+@example(seed=2**200 + 11, d=50)
+def test_pcg64_seeded_equals_numpy_seeding(seed, d):
+    seeded = _pcg64_seeded(_spawned_states(seed, d))
+    assert seeded.dtype == np.uint64 and seeded.shape == (d, 2, 2)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
+        public = np.random.PCG64(child).state["state"]
+        assert seeded[i].tolist() == [_low_first(public["state"]), _low_first(public["inc"])]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call's result."""
+    made, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return made
+
+
+def test_one_generator_draws_every_trajectory_of_a_horizon(monkeypatch):
+    import blocksysid.lti as lti
+
+    advances = _counting(monkeypatch, lti, "_advance")
+    generators = _counting(monkeypatch, np.random, "PCG64")
+    simulate_batch(scalar_model(0.5, 1.0, 1.0, 1.0), T=2, d=10_000, seed=3)
+    assert len(advances) == 1 and len(generators) == 1
+
+
+def _high_first(value):
+    return (value & (2**64 - 1)) << 64 | value >> 64
+
+
+class _MisreportedPCG64(np.random.PCG64):
+    """A PCG64 whose public state reorders the words that its memory holds."""
+
+    def __init__(self, seed, reorder):
+        super().__init__(seed)
+        self.reorder = reorder
+
+    @property
+    def state(self):
+        public = super().state
+        public["state"] = dict(zip(("state", "inc"), self.reorder(public["state"]["state"], public["state"]["inc"])))
+        return public
+
+
+def test_state_view_takes_the_word_order_of_the_public_state():
+    # the high word first, as numpy's emulated 128-bit struct stores it
+    for bits, strides in ((np.random.PCG64(0), (16, 8)),
+                          (_MisreportedPCG64(0, lambda s, i: (_high_first(s), _high_first(i))), (16, -8))):
+        view = _state_view(bits)
+        assert view.strides == strides
+        assert view.tolist() == [_low_first(bits.state["state"][k]) for k in ("state", "inc")]
+
+
+def test_state_view_leaves_no_cyclic_garbage():
+    # a ctypes array type per view would be garbage that only a collection frees
+    gc.collect()
+    gc.disable()
+    try:
+        bits = np.random.PCG64(0)
+        view = _state_view(bits)
+        del bits, view
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_state_layout_in_neither_word_order_raises_before_a_draw(monkeypatch):
+    made = []
+
+    def misreported(seed):
+        made.append(_MisreportedPCG64(seed, lambda s, i: (i, s)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "PCG64", misreported)
+    generators = _counting(monkeypatch, np.random, "Generator")
+    message = f"numpy {np.__version__}: PCG64's state matches its public state in neither word order"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        simulate_batch(scalar_model(0.5, 1.0, 1.0, 1.0), T=3, d=5, seed=0)
+    assert len(made) == 1 and not generators
+    # nothing was written: the generator still holds the state it was seeded with
+    assert np.random.Generator(made[0]).standard_normal() == np.random.default_rng(0).standard_normal()
 
 
 def test_import_leaves_numpy_random_unloaded():

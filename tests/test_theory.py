@@ -264,6 +264,27 @@ def test_lambda_schedule_names_a_bad_argument(args, message):
         lambda_schedule(*args)
 
 
+@pytest.mark.parametrize(
+    "schedule, args, message",
+    [
+        # a negative count was accepted while the total stayed positive
+        (lambda_schedule, (1, -1, 3, 10), "n_bar must be nonnegative, got -1"),
+        (lambda_schedule, (1, 3, -1, 10), "m_bar must be nonnegative, got -1"),
+        (sample_threshold, (2.0, 1, 1, -5, 6, 0.5), "n_bar must be nonnegative, got -5"),
+        (sample_threshold, (2.0, 1, 1, 6, -5, 0.5), "m_bar must be nonnegative, got -5"),
+        (sample_threshold, (2.0, 1, 1, 0, 0, 0.5), "need at least one block"),
+    ],
+)
+def test_schedules_reject_a_negative_block_count(schedule, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        schedule(*args)
+
+
+def test_schedules_take_a_model_without_inputs():
+    assert lambda_schedule(1, 3, 0, 10) == pytest.approx(math.sqrt(2 * (1 + math.log(3)) / 10))
+    assert sample_threshold(1.0, 1, 1, 3, 0, 0.5) == math.ceil(math.log(3) + math.log(2))
+
+
 def test_schedules_take_numpy_scalars():
     assert lambda_schedule(np.int64(2), np.int32(2), 2, np.int64(100)) == lambda_schedule(2, 2, 2, 100)
     assert sample_threshold(np.float64(2.0), np.int64(1), 1, 2, 2, np.float32(0.5)) == sample_threshold(
