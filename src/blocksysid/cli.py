@@ -60,11 +60,15 @@ def _openblas() -> tuple | None:
     """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None where none is found."""
     try:
         with open("/proc/self/maps") as fh:
-            libs = sorted({path for path in (line.split()[-1] for line in fh) if "openblas" in path.lower()})
+            maps = [line.rstrip("\n").split(maxsplit=5) for line in fh]  # the sixth field, the path, may hold spaces
+        libs = sorted({fields[5] for fields in maps if len(fields) == 6 and "openblas" in fields[5].lower()})
     except OSError:
         return None
     for lib in libs:
-        handle = ctypes.CDLL(lib)
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a mapping ctypes cannot load, such as a deleted file
+            continue
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
             get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
             if get is not None and put is not None:

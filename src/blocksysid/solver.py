@@ -10,9 +10,10 @@ with adaptive restart), block columns of one width stacked and stepped in
 lockstep: a step runs one stacked Gram product for the whole stack, still
 one BLAS call per column, every column's iterates are identical to a solve
 of that column alone, and a column that stops writes its estimate into its
-own columns of the grid.  A large stack's product splits its columns over
-the caller and one helper thread where two CPUs are usable, which moves no
-bit, since each column's product stays one BLAS call of its own.  The
+own columns of the grid.  Where the BLAS sums each entry of a column's
+product in one chain over the rows, which a probe checks per shape, that
+call takes only the column's nonzero rows: an exact-zero term changes no
+bit of the chain, and the prox leaves most rows exactly zero.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
@@ -30,8 +31,6 @@ columns stop, their residuals and the estimate keep every bit.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,6 @@ TIE_RTOL = 1e-6
 # The stopping rule: a column stops at a residual of at most KKT_TOL, or unconverged after MAX_ITER steps.
 KKT_TOL = 1e-7
 MAX_ITER = 50_000
-
-# A step's stacked Gram product of at least this many multiply-adds (rows**2
-# * width * live columns) splits over two threads.  The hand-off costs about
-# 30 us, and below this size a split gains little or loses (measured at one
-# BLAS thread on a 2-vCPU VM).
-_SPLIT_MADDS = 2**22
 
 # Rows of 1 to this many entries may floor a column's residual by their l1
 # excess, for which _kkt_stack proves that the floor never stops a column.
@@ -327,55 +320,51 @@ def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
     return per_row
 
 
-_helper = None  # (pid, job queue) of the helper thread for split products, started on first use
+_SKIPS: dict[tuple[int, int], bool] = {}  # (rows, width): the probe's answer, once per process
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _sparse_product(Gmat: np.ndarray, XN: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(Gmat, XN, out=out)`` from each column's nonzero rows of ``XN`` only.
 
-
-def _gram_helper(jobs) -> None:
-    """The helper thread's loop: each job's product, answered with None or the exception it raised.
-
-    A job's arrays are dropped before the answer, so that no stack outlives its solve.
+    With S the rows of column i that hold a nonzero entry, its product is
+    ``XN[i, S].T @ Gmat[S]``, written through the transpose of ``out[i]``:
+    a gather of Gmat's rows, which are its columns as Gmat is symmetric.
+    :func:`_skips_exactly` says where this keeps every bit.
     """
-    while True:
-        Gmat, XN, out, done = jobs.get()
-        try:
-            np.matmul(Gmat, XN, out=out)
-            err = None
-        except BaseException as exc:
-            err = exc
-        del Gmat, XN, out
-        done.put(err)
+    nonzero = XN[:, :, 0] != 0  # XN.any(axis=2) loops once per row, and took twice as long at width 5
+    for j in range(1, XN.shape[2]):
+        nonzero |= XN[:, :, j] != 0
+    for i, S in enumerate(map(np.flatnonzero, nonzero)):
+        np.matmul(XN[i].take(S, axis=0).T, Gmat.take(S, axis=0), out=out[i].T)
+    return out
 
 
-def _split_matmul(Gmat: np.ndarray, XN: np.ndarray, out: np.ndarray) -> None:
-    """``np.matmul(Gmat, XN, out=out)``, the back half of the stack's columns on the helper thread.
+def _skips_exactly(Gmat: np.ndarray, width: int) -> bool:
+    """Whether :func:`_sparse_product` gives ``np.matmul(Gmat, X)`` bit for bit on (k, rows, width) stacks.
 
-    Either half is still one BLAS call per column, so every bit is the
-    serial product's.  The helper's exception, if any, is raised here, and
-    nothing returns before both halves are written.
+    It does where the BLAS sums each entry of a column's product in one
+    chain over the rows, as an exact-zero term then changes nothing; a sum
+    split into blocks or lanes is rounded otherwise.  That is probed once
+    per (rows, width) in a process, on Gmat and four stacks of fixed row
+    patterns: every 8th row, the rows 5 mod 7, the first and last eighths,
+    and none; their zero rows hold -0.0 as well as 0.0.  Gmat must be
+    finite, since inf * 0 is NaN in the full product only, and exactly
+    symmetric, for the row gather.  A Gmat with an exact zero is not probed
+    on: a diagonal or zero one sums exactly in any order, so its probe would
+    say nothing of the next Gmat of its shape.
     """
-    import queue  # here, so that a process that never splits does not load it
-
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():  # a forked child has no helper thread
-        _helper = (os.getpid(), queue.SimpleQueue())
-        threading.Thread(target=_gram_helper, args=(_helper[1],), name="blocksysid-gram", daemon=True).start()
-    h = XN.shape[0] // 2
-    done = queue.SimpleQueue()
-    _helper[1].put((Gmat, XN[h:], out[h:], done))
-    try:
-        np.matmul(Gmat, XN[:h], out=out[:h])
-    finally:
-        err = done.get()
-    if err is not None:
-        raise err
+    if not (np.isfinite(Gmat).all() and np.array_equal(Gmat, Gmat.T)):
+        return False
+    rows = Gmat.shape[0]
+    if (rows, width) not in _SKIPS:
+        if not Gmat.all():
+            return False
+        r = np.arange(rows)
+        patterns = np.stack([r % 8 == 0, r % 7 == 5, (r < rows // 8) | (r >= rows - rows // 8), r < 0])
+        X = np.random.default_rng(0).standard_normal((4, rows, width)) * patterns[:, :, None]
+        # bytes, not values: 0.0 == -0.0
+        _SKIPS[rows, width] = _sparse_product(Gmat, X, np.empty_like(X)).tobytes() == np.matmul(Gmat, X).tobytes()
+    return _SKIPS[rows, width]
 
 
 def _lockstep_apg(
@@ -389,10 +378,9 @@ def _lockstep_apg(
     over the whole stack: one stacked product with ``Gmat`` and one
     ``np.vecdot`` of restart dots, whose loops make a one-column solve's BLAS
     calls per column (``np.vdot``'s ``ddot`` for a dot), so each column's
-    iterates are a one-column solve's bit for bit.  A product of at least
-    ``_SPLIT_MADDS`` multiply-adds over two or more live columns, with two
-    CPUs usable, runs through :func:`_split_matmul`: the same calls per
-    column, half of them on a helper thread.
+    iterates are a one-column solve's bit for bit.  Where
+    :func:`_skips_exactly` holds, the product is :func:`_sparse_product`'s,
+    each column's from its nonzero rows, with the same bits.
     ``lam`` is the weight, already checked.  A column stops when its
     residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps.  The residuals
     take :func:`_kkt_stack`'s l1 floor on every step but the one that
@@ -406,12 +394,12 @@ def _lockstep_apg(
     residuals = np.empty(k)
     live = np.arange(k)  # live[i]: the row of cols that slot i steps
     t = np.ones(k)
+    # probed before the step buffers exist, so its stacks add nothing to the solve's peak
+    product = _sparse_product if _skips_exactly(Gmat, width) else np.matmul
     # The step buffers are one block reused in place, so steps do not churn
     # the heap and the block is freed whole; six separate ones split the
     # heap's free space, and sweep_agents peaked 3 MB higher.
     x, z, gx, gz, x_new, gx_new = np.zeros((6,) + c.shape)
-    per_col = Gmat.shape[0] ** 2 * width  # multiply-adds of one column's product
-    may_split = k * per_col >= _SPLIT_MADDS and _cpus() > 1  # the stack only shrinks
     n = k
     it = 0
     while True:
@@ -436,10 +424,7 @@ def _lockstep_apg(
         GZ -= C  # gradient at z, in gz's buffer
         GZ /= L
         _prox_stack(np.subtract(Z, GZ, out=GZ), lam / L, groups, out=XN)
-        if may_split and n > 1 and n * per_col >= _SPLIT_MADDS:
-            _split_matmul(Gmat, XN, GXN)
-        else:
-            np.matmul(Gmat, XN, out=GXN)
+        product(Gmat, XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
         restart = np.vecdot(dz.reshape(n, -1), dx.reshape(n, -1)) > 0  # momentum points uphill

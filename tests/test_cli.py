@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -456,6 +457,32 @@ def test_the_command_line_runs_blas_on_one_thread_and_restores_the_count(tmp_pat
         assert get() == caller
     finally:
         put(before)
+
+
+def test_an_openblas_path_with_a_space_is_read_whole(tmp_path, monkeypatch):
+    # A maps line's pathname is its sixth field and may hold spaces.  Under
+    # "a b" sit a library that ctypes cannot load, which is passed over, and
+    # a link to numpy's OpenBLAS, which is found.
+    with open("/proc/self/maps") as fh:
+        loaded = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh if "openblas" in line.lower()})
+    spaced = tmp_path / "a b"
+    spaced.mkdir()
+    missing, link = spaced / "libopenblas_missing.so", spaced / "libscipy_openblas64_.so"
+    if loaded:
+        link.symlink_to(loaded[0])
+    maps = "".join(
+        f"7f0000000{i}00-7f0000000{i}ff r-xp 00000000 fe:00 42    {path}\n" for i, path in enumerate((missing, link))
+    )
+    maps += "7f0000000300-7f00000003ff rw-p 00000000 00:00 0\n"  # anonymous: no pathname
+    p = tmp_path / "m.json"
+    assert run_cli("gen", "--generator", "synthetic", "--n", 6, "--w", 1, "--out", p) == 0
+    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps), raising=False)
+    cli._openblas.cache_clear()
+    try:
+        assert run_cli("check", "--model", p, "--T", 3) == 0
+        assert (cli._openblas() is not None) == bool(loaded)
+    finally:
+        cli._openblas.cache_clear()
 
 
 def test_the_command_line_says_when_it_finds_no_openblas(tmp_path, capsys, monkeypatch):

@@ -1,17 +1,10 @@
-import os
 import re
-import signal
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blocksysid import solver
@@ -228,106 +221,126 @@ def test_stack_split_never_changes_a_solve(monkeypatch, problem):
         assert_same_solve(solve_block_regularized(batch, part, config), base)
 
 
-@pytest.mark.parametrize("problem", ["mixed", "agents"])
-def test_gram_product_split_over_two_threads_never_changes_a_solve(monkeypatch, problem):
-    # With the threshold at 0, every step of a stack of two or more live
-    # columns splits its Gram product between the caller and the helper
-    # thread, odd column counts included; stacks of one never split.  The
-    # solve is the serial one bit for bit.
-    batch, part, config = stacked_problem(monkeypatch, problem)
-    monkeypatch.setattr(solver, "_cpus", lambda: 1)
-    base = solve_block_regularized(batch, part, config)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_SPLIT_MADDS", 0)
-    split, live = solver._split_matmul, []
+def counting_sparse_products(monkeypatch, product=None):
+    """Wrap ``solver._sparse_product`` (or ``product`` in its place); returns its calls' (columns, nonzero rows)."""
+    product = product or solver._sparse_product
+    calls = []
 
-    def recording(Gmat, XN, out):
-        live.append(XN.shape[0])
-        split(Gmat, XN, out)
+    def counting(Gmat, XN, out):
+        calls.append((XN.shape[0], int(XN.any(axis=2).sum())))
+        return product(Gmat, XN, out)
 
-    monkeypatch.setattr(solver, "_split_matmul", recording)
-    for cap in (1, 3, part.n_col_blocks + 1):
-        monkeypatch.setattr(solver, "_stack_cap", lambda *args, cap=cap: cap)
-        live.clear()
-        assert_same_solve(solve_block_regularized(batch, part, config), base)
-        assert live if cap > 1 else not live
-        assert all(n > 1 for n in live)
-        assert any(n % 2 for n in live) == (cap > 1)
+    monkeypatch.setattr(solver, "_sparse_product", counting)
+    return calls
 
 
-def test_split_gram_product_raises_the_helpers_error(monkeypatch):
-    # An exception in the helper's half reaches the caller, after both halves
-    # ran, and the helper takes the next product as before.
-    rng = np.random.default_rng(3)
-    G, XN = rng.standard_normal((7, 7)), rng.standard_normal((5, 7, 2))
-    out = np.zeros_like(XN)
-    matmul = np.matmul
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.sampled_from([25, 40, 200, 400]),
+    width=st.sampled_from([1, 2, 5, 8]),
+    k=st.integers(1, 4),
+    density=st.sampled_from([0.02, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_product_keeps_every_bit_where_the_probe_holds(rows, width, k, density, seed):
+    # Row-sparse stacks whose first column is all zero; zero entries are 0.0
+    # or -0.0, and nonzero rows hold zero entries too.
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((rows, rows))
+    G = B + B.T
+    assume(solver._skips_exactly(G, width))
+    rows_on = rng.random((k, rows, 1)) < density
+    rows_on[0] = False
+    XN = rng.standard_normal((k, rows, width)) * (rows_on & (rng.random((k, rows, width)) < 0.8))
+    assert np.signbit(XN[0]).any()
+    got = solver._sparse_product(G, XN, np.full_like(XN, np.nan))
+    want = np.matmul(G, XN)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def failing_off_the_main_thread(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("helper's half")
-        return matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", failing_off_the_main_thread)
-    with pytest.raises(FloatingPointError, match="helper's half"):
-        solver._split_matmul(G, XN, out)
-    assert np.array_equal(out[:2], matmul(G, XN[:2])) and not out[2:].any()
-    monkeypatch.setattr(np, "matmul", matmul)
-    solver._split_matmul(G, XN, out)
-    assert np.array_equal(out, matmul(G, XN))
+def test_sparse_product_never_changes_a_solve(monkeypatch):
+    # The AGENTS solve takes the sparse product at every step, and a gather
+    # that sums the rows in reverse order, which moves bits, fails the probe,
+    # so the solve keeps the full product.  Both solves are the one with the
+    # full product bit for bit.
+    batch, part, config = stacked_problem(monkeypatch, "agents")
+    gate = solver._skips_exactly
+    monkeypatch.setattr(solver, "_skips_exactly", lambda Gmat, width: False)
+    full = solve_block_regularized(batch, part, config)
+    monkeypatch.setattr(solver, "_skips_exactly", gate)
+    assert_same_solve(solve_block_regularized(batch, part, config), full)  # the probe runs here, uncounted
+    calls = counting_sparse_products(monkeypatch)
+    assert_same_solve(solve_block_regularized(batch, part, config), full)
+    if not calls:
+        pytest.skip("this BLAS does not sum the AGENTS products in one chain")
+    assert sum(columns for columns, _ in calls) == full.iterations.sum()
+
+    def reversed_gather(Gmat, XN, out):
+        for i in range(XN.shape[0]):
+            S = np.flatnonzero(XN[i].any(axis=1))[::-1]
+            np.matmul(XN[i, S].T, Gmat[S], out=out[i].T)
+        return out
+
+    monkeypatch.setattr(solver, "_SKIPS", {})
+    calls = counting_sparse_products(monkeypatch, reversed_gather)
+    assert_same_solve(solve_block_regularized(batch, part, config), full)
+    assert solver._SKIPS == {(part.shape[0], 5): False}
+    assert len(calls) == 1  # the probe's
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_splits_on_a_helper_of_its_own():
-    # A child forked after a split inherits the helper's job queue but not
-    # its thread; handing that queue work would wait forever.
-    rng = np.random.default_rng(4)
-    G, XN = rng.standard_normal((9, 9)), rng.standard_normal((4, 9, 3))
-    out = np.zeros_like(XN)
-    solver._split_matmul(G, XN, out)
-    pid = os.fork()
-    if pid == 0:  # the child exits 0 only if its split product is right
-        code = 1
-        try:
-            child = np.zeros_like(XN)
-            solver._split_matmul(G, XN, child)
-            code = 0 if np.array_equal(child, out) else 1
-        finally:
-            os._exit(code)
-    for _ in range(600):
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.05)
+@pytest.mark.parametrize("spoil", ["inf", "nan", "asymmetric"])
+def test_a_gram_matrix_the_gather_may_not_take_gets_the_full_product(monkeypatch, spoil):
+    # inf * 0 is NaN in the full product only, and the row gather reads Gmat
+    # as symmetric; either way the probed shape's answer must not be used.
+    # The AGENTS d=200 solve's first lockstep call, its linear terms unsolved.
+    batch, part, config = stacked_problem(monkeypatch, "agents")
+    kernel, args = solver._lockstep_apg, []
+
+    def recording(Gmat, L, lam, groups, grid, cols):
+        args.append((Gmat.copy(), L, lam, groups, grid.copy(), cols))
+        return kernel(Gmat, L, lam, groups, grid, cols)
+
+    monkeypatch.setattr(solver, "_lockstep_apg", recording)
+    solve_block_regularized(batch, part, config)
+    Gmat, L, lam, groups, grid, cols = args[0]
+    if not solver._skips_exactly(Gmat, cols.shape[1]):
+        pytest.skip("this BLAS does not sum the AGENTS products in one chain")
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    calls = counting_sparse_products(monkeypatch)
+    kernel(Gmat, L, lam, groups, grid.copy(), cols)
+    assert len(calls) == 3
+    if spoil == "asymmetric":
+        Gmat[0, 1] = np.nextafter(Gmat[0, 1], np.inf)
     else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split product never finished")
-    assert os.waitstatus_to_exitcode(status) == 0
+        Gmat[0, 1] = Gmat[1, 0] = np.inf if spoil == "inf" else np.nan
+    calls.clear()
+    with np.errstate(all="ignore"):
+        kernel(Gmat, L, lam, groups, grid, cols)
+    assert not calls
 
 
-def test_scalar_benchmark_solves_start_no_thread():
-    # sweep_scalar's solves stay below the split threshold: no helper thread
-    # starts and the split's queue module is never imported.  The AGENTS
-    # solve after them splits where two CPUs are usable.
-    code = f"""if True:
-        import sys, threading
-        from blocksysid.experiments import build_model, resolve_lambda
-        from blocksysid.lti import simulate_batch
-        from blocksysid.solver import EstimatorConfig, _cpus, solve_block_regularized
+def test_a_gram_matrix_with_an_exact_zero_is_not_probed_on(monkeypatch):
+    # A diagonal Gmat sums exactly in any order, so its probe would hold at
+    # any shape; the shape's answer waits for a Gmat without zeros.
+    monkeypatch.setattr(solver, "_SKIPS", {})
+    assert not solver._skips_exactly(np.diag(np.arange(1.0, 41.0)), 5)
+    assert solver._SKIPS == {}
 
-        for generator, ds in (({SCALAR!r}, (100, 200, 400)), ({AGENTS!r}, (200,))):
-            model = build_model(generator, 0)
-            for d in ds:
-                config = EstimatorConfig(resolve_lambda("schedule", model.partition, d), standardize=True)
-                solve_block_regularized(simulate_batch(model, 3, d, 0), model.partition, config)
-            print(threading.active_count(), "queue" in sys.modules, _cpus() > 1)
-    """
-    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    scalar, agents = done.stdout.split("\n")[:2]
-    assert scalar.startswith("1 False ")
-    assert agents in ("2 True True", "1 False False")
+
+def test_agents_step_products_skip_most_multiply_adds(monkeypatch):
+    # Over the AGENTS d=200 solve, the rows the sparse product multiplies
+    # are under a tenth of the full products' (2.9% when measured).
+    model = build_model(AGENTS, 0)
+    batch, part = simulate_batch(model, 3, 200, seed=0), model.partition
+    config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, batch.d), standardize=True)
+    solve_block_regularized(batch, part, config)  # the probe runs here, uncounted
+    calls = counting_sparse_products(monkeypatch)
+    res = solve_block_regularized(batch, part, config)
+    rows, width = part.shape[0], 5
+    assert sum(columns for columns, _ in calls) == res.iterations.sum()
+    taken = sum(nonzero for _, nonzero in calls) * rows * width
+    assert taken < 0.1 * res.iterations.sum() * rows * rows * width
 
 
 @pytest.mark.parametrize(
