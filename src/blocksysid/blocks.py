@@ -126,7 +126,7 @@ class BlockPartition:
     @property
     def max_block_size(self) -> int:
         """Element count of the largest block in the grid."""
-        return max(self.row_sizes) * self.max_state_block
+        return max(self.row_sizes) * max(self.col_sizes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,8 +23,10 @@ the same bits as its matrix-vector product.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +74,7 @@ def _check_covariance(sigma: np.ndarray, dim: int, name: str) -> None:
 
 
 def _noise_factor(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric F with F F^T = sigma, singular sigma allowed; its 1-D diagonal when F is diagonal."""
+    """F = V diag(sqrt(lambda)) of ``eigh``, not always symmetric: F F^T = sigma, singular allowed; 1-D if diagonal."""
     evals, vecs = np.linalg.eigh(sigma)
     fac = vecs * np.sqrt(np.clip(evals, 0.0, None))
     diag = np.diagonal(fac)
@@ -246,9 +248,6 @@ def _state_view(bits) -> np.ndarray:
     are compared with the public ``bits.state`` to tell which, and any other
     layout is an error.  The view is valid while ``bits`` lives.
     """
-    import ctypes  # here, so that importing the package loads nothing new
-    import types
-
     address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
     # an array interface, not a ctypes array type: a new ctypes array type
     # is a reference cycle that only the garbage collector frees

@@ -11,9 +11,10 @@ lockstep: a step runs one stacked Gram product for the whole stack, still
 one BLAS call per column, every column's iterates are identical to a solve
 of that column alone, and a column that stops writes its estimate into its
 own columns of the grid.  Where the BLAS sums each entry of a column's
-product in one chain over the rows, which a probe checks per shape, that
-call takes only the column's nonzero rows: an exact-zero term changes no
-bit of the chain, and the prox leaves most rows exactly zero.  The
+product in one chain over the rows, which a probe on the solve's Gram
+matrix checks once per column width, that call takes only the column's
+nonzero rows: an exact-zero term changes no bit of the chain, and the prox
+leaves most rows exactly zero.  The
 per-block max-abs prox follows from Euclidean projection onto the l1 ball,
 which also produces exact zero blocks.  Convergence is certified per column
 by the distance of the negative gradient from lambda_d times the
@@ -32,6 +33,7 @@ columns stop, their residuals and the estimate keep every bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -320,9 +322,6 @@ def _kkt_rows(Th: np.ndarray, Qm: np.ndarray, lam: float) -> np.ndarray:
     return per_row
 
 
-_SKIPS: dict[tuple[int, int], bool] = {}  # (rows, width): the probe's answer, once per process
-
-
 def _sparse_product(Gmat: np.ndarray, XN: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``np.matmul(Gmat, XN, out=out)`` from each column's nonzero rows of ``XN`` only.
 
@@ -344,43 +343,40 @@ def _skips_exactly(Gmat: np.ndarray, width: int) -> bool:
 
     It does where the BLAS sums each entry of a column's product in one
     chain over the rows, as an exact-zero term then changes nothing; a sum
-    split into blocks or lanes is rounded otherwise.  That is probed once
-    per (rows, width) in a process, on Gmat and four stacks of fixed row
-    patterns: every 8th row, the rows 5 mod 7, the first and last eighths,
-    and none; their zero rows hold -0.0 as well as 0.0.  Gmat must be
-    finite, since inf * 0 is NaN in the full product only, and exactly
-    symmetric, for the row gather.  A Gmat with an exact zero is not probed
-    on: a diagonal or zero one sums exactly in any order, so its probe would
-    say nothing of the next Gmat of its shape.
+    split into blocks or lanes is rounded otherwise.  The probe compares the
+    two products on Gmat and four stacks of fixed row patterns: every 8th
+    row, the rows 5 mod 7, the first and last eighths, and none; their zero
+    rows hold -0.0 as well as 0.0.  A one-term sum is exact in any order, so
+    below 8 rows, where no pattern sums two, the probe proves nothing and is
+    false.  Gmat must be finite, since inf * 0 is NaN in the full product
+    only, exactly symmetric, for the row gather, and free of exact zeros,
+    which would drop terms from the probe's sums.
     """
-    if not (np.isfinite(Gmat).all() and np.array_equal(Gmat, Gmat.T)):
+    if not (Gmat.all() and np.isfinite(Gmat).all() and np.array_equal(Gmat, Gmat.T)):
         return False
-    rows = Gmat.shape[0]
-    if (rows, width) not in _SKIPS:
-        if not Gmat.all():
-            return False
-        r = np.arange(rows)
-        patterns = np.stack([r % 8 == 0, r % 7 == 5, (r < rows // 8) | (r >= rows - rows // 8), r < 0])
-        X = np.random.default_rng(0).standard_normal((4, rows, width)) * patterns[:, :, None]
-        # bytes, not values: 0.0 == -0.0
-        _SKIPS[rows, width] = _sparse_product(Gmat, X, np.empty_like(X)).tobytes() == np.matmul(Gmat, X).tobytes()
-    return _SKIPS[rows, width]
+    r = np.arange(Gmat.shape[0])
+    patterns = np.stack([r % 8 == 0, r % 7 == 5, (r < r.size // 8) | (r >= r.size - r.size // 8), r < 0])
+    if patterns.sum(axis=1).max() < 2:
+        return False
+    X = np.random.default_rng(0).standard_normal((4, r.size, width)) * patterns[:, :, None]
+    # bytes, not values: 0.0 == -0.0
+    return _sparse_product(Gmat, X, np.empty_like(X)).tobytes() == np.matmul(Gmat, X).tobytes()
 
 
 def _lockstep_apg(
-    Gmat: np.ndarray, L: float, lam: float, groups, grid: np.ndarray, cols: np.ndarray
+    product, L: float, lam: float, groups, grid: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerated proximal gradient with adaptive restart on a stack of block columns, in place.
 
     ``cols`` is a (k, width) array of ``grid``'s scalar columns, one block
     column per row; ``grid`` holds their linear terms, and a column that
     stops writes its estimate into its own columns of the grid.  A step runs
-    over the whole stack: one stacked product with ``Gmat`` and one
-    ``np.vecdot`` of restart dots, whose loops make a one-column solve's BLAS
+    over the whole stack: one Gram product ``product(XN, out=...)`` of the
+    (n, rows, width) iterates and one ``np.vecdot`` of restart dots.  With
+    ``np.matmul`` bound to the Gram matrix, or :func:`_sparse_product` where
+    :func:`_skips_exactly` holds, their loops make a one-column solve's BLAS
     calls per column (``np.vdot``'s ``ddot`` for a dot), so each column's
-    iterates are a one-column solve's bit for bit.  Where
-    :func:`_skips_exactly` holds, the product is :func:`_sparse_product`'s,
-    each column's from its nonzero rows, with the same bits.
+    iterates are a one-column solve's bit for bit.
     ``lam`` is the weight, already checked.  A column stops when its
     residual reaches ``KKT_TOL`` or after ``MAX_ITER`` steps.  The residuals
     take :func:`_kkt_stack`'s l1 floor on every step but the one that
@@ -394,8 +390,6 @@ def _lockstep_apg(
     residuals = np.empty(k)
     live = np.arange(k)  # live[i]: the row of cols that slot i steps
     t = np.ones(k)
-    # probed before the step buffers exist, so its stacks add nothing to the solve's peak
-    product = _sparse_product if _skips_exactly(Gmat, width) else np.matmul
     # The step buffers are one block reused in place, so steps do not churn
     # the heap and the block is freed whole; six separate ones split the
     # heap's free space, and sweep_agents peaked 3 MB higher.
@@ -424,7 +418,7 @@ def _lockstep_apg(
         GZ -= C  # gradient at z, in gz's buffer
         GZ /= L
         _prox_stack(np.subtract(Z, GZ, out=GZ), lam / L, groups, out=XN)
-        product(Gmat, XN, out=GXN)
+        product(XN, out=GXN)
         dz = np.subtract(Z, XN, out=Z)
         dx = np.subtract(XN, X, out=X)
         restart = np.vecdot(dz.reshape(n, -1), dx.reshape(n, -1)) > 0  # momentum points uphill
@@ -508,11 +502,13 @@ def solve_block_regularized(
     iterations = np.zeros(partition.n_col_blocks, dtype=int)
     residuals = np.zeros(partition.n_col_blocks)
     for width, blocks, _ in _size_groups(partition.col_sizes):
+        # probed before this width's stacks exist, so its stacks add nothing to the solve's peak
+        product = partial(_sparse_product if _skips_exactly(G, width) else np.matmul, G)
         cap = _stack_cap(theta.shape[0], width, d, partition.n)
         for chunk in np.array_split(blocks, -(-blocks.size // cap)):
             cols = co[chunk][:, None] + np.arange(width)
-            iterations[chunk], residuals[chunk] = _lockstep_apg(G, L, config.lambda_d, row_groups, theta, cols)
-    del G
+            iterations[chunk], residuals[chunk] = _lockstep_apg(product, L, config.lambda_d, row_groups, theta, cols)
+    del G, product
     if scale is not None:
         theta /= scale[:, None]
     return EstimateResult(
@@ -600,7 +596,9 @@ def pdw_check(
         G_on /= d
         c_on = X_on.T @ batch.Y[:, cols] / d
         groups = _size_groups(row_sizes[on_blocks])
-        _, resid = _lockstep_apg(G_on, _lipschitz(G_on), lambda_d, groups, c_on, np.arange(c_on.shape[1])[None])
+        _, resid = _lockstep_apg(
+            partial(np.matmul, G_on), _lipschitz(G_on), lambda_d, groups, c_on, np.arange(c_on.shape[1])[None]
+        )
         if not resid[0] <= KKT_TOL:
             raise ValueError(
                 f"witness undefined: restricted solve did not converge in block column {j + 1}"

@@ -28,6 +28,8 @@ def test_partition_basic_properties():
     assert part.max_input_block == 4
     assert part.max_block_size == 12
     assert BlockPartition.from_block_sizes((2,), ()).max_input_block == 0
+    # column blocks other than the state row blocks: block (1, 0) is 2 x 3
+    assert BlockPartition((2, 2, 1), (3, 1)).max_block_size == 6
 
 
 def test_partition_validation():

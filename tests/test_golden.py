@@ -36,7 +36,7 @@ def test_first_difference_names_the_line_and_the_field():
 
 def test_every_golden_has_its_csv():
     assert golden_names() == [
-        "mass_spring", "multi_agent", "simulate_bulk", "sweep_agents", "sweep_scalar", "synthetic"
+        "mass_spring", "multi_agent", "simulate_bulk", "sweep_agents", "sweep_scalar", "synthetic", "tiny_spring"
     ]
     for name in golden_names():
         assert (VERSIONS_PATH.parent / f"{name}.csv").is_file()

@@ -163,3 +163,26 @@ def test_witness_deterministic():
     assert r1.gamma_margin == r2.gamma_margin
     for a, b in zip(r1.dual_norms, r2.dual_norms):
         assert np.array_equal(a, b)
+
+
+def test_witness_takes_the_plain_gram_product(monkeypatch):
+    # The restricted Gram matrices here have 5 and 7 rows, where the row
+    # gather took other bits than np.matmul; the witness is the one computed
+    # with the plain product, bit for bit.
+    model = gen_synthetic(12, 1, seed=0)
+    batch = simulate_batch(model, 3, 200, seed=0)
+    truth = support_pattern(model.stacked(), model.partition)
+    sparse, calls = solver._sparse_product, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sparse(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_sparse_product", counting)
+    report = pdw_check(batch, model.partition, 0.3, truth)
+    monkeypatch.setattr(solver, "_skips_exactly", lambda Gmat, width: False)
+    plain = pdw_check(batch, model.partition, 0.3, truth)
+    assert not calls
+    assert report.gamma_margin == plain.gamma_margin
+    for got, want in zip(report.dual_norms, plain.dual_norms):
+        assert got.tobytes() == want.tobytes()

@@ -150,10 +150,10 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
     kernel = solver._lockstep_apg
     calls = []
 
-    def recording(Gmat, L, lam, groups, grid, cols):
+    def recording(product, L, lam, groups, grid, cols):
         c_in = grid[:, cols.ravel()]  # the kernel overwrites its linear terms
-        out = kernel(Gmat, L, lam, groups, grid, cols)
-        calls.append((Gmat, L, lam, groups, c_in, cols, grid[:, cols.ravel()]))
+        out = kernel(product, L, lam, groups, grid, cols)
+        calls.append((product, L, lam, groups, c_in, cols, grid[:, cols.ravel()]))
         return out
 
     monkeypatch.setattr(solver, "_lockstep_apg", recording)
@@ -168,10 +168,10 @@ def test_lockstep_columns_match_one_column_solves_on_mixed_widths(monkeypatch):
     stacked = [(call, i) for call in calls for i in range(call[5].shape[0])]
     assert len(stacked) == part.n_col_blocks
     co = part.col_offsets
-    for j, ((Gmat, L, lam, groups, c, cols, x), i) in zip(order, stacked):
+    for j, ((product, L, lam, groups, c, cols, x), i) in zip(order, stacked):
         width = cols.shape[1]
         x1 = c[:, i * width : (i + 1) * width].copy()
-        its1, resid1 = kernel(Gmat, L, lam, groups, x1, np.arange(width)[None])
+        its1, resid1 = kernel(product, L, lam, groups, x1, np.arange(width)[None])
         assert np.array_equal(x1, joint.theta_hat[:, co[j] : co[j + 1]])
         assert np.array_equal(x1, x[:, i * width : (i + 1) * width])
         assert its1[0] == its[j]
@@ -263,18 +263,20 @@ def test_sparse_product_never_changes_a_solve(monkeypatch):
     # The AGENTS solve takes the sparse product at every step, and a gather
     # that sums the rows in reverse order, which moves bits, fails the probe,
     # so the solve keeps the full product.  Both solves are the one with the
-    # full product bit for bit.
+    # full product bit for bit.  Each solve probes its one width once, on
+    # four columns, before any step.
     batch, part, config = stacked_problem(monkeypatch, "agents")
     gate = solver._skips_exactly
     monkeypatch.setattr(solver, "_skips_exactly", lambda Gmat, width: False)
     full = solve_block_regularized(batch, part, config)
     monkeypatch.setattr(solver, "_skips_exactly", gate)
-    assert_same_solve(solve_block_regularized(batch, part, config), full)  # the probe runs here, uncounted
     calls = counting_sparse_products(monkeypatch)
     assert_same_solve(solve_block_regularized(batch, part, config), full)
-    if not calls:
+    probe, *steps = calls
+    assert probe[0] == 4
+    if not steps:
         pytest.skip("this BLAS does not sum the AGENTS products in one chain")
-    assert sum(columns for columns, _ in calls) == full.iterations.sum()
+    assert sum(columns for columns, _ in steps) == full.iterations.sum()
 
     def reversed_gather(Gmat, XN, out):
         for i in range(XN.shape[0]):
@@ -282,64 +284,83 @@ def test_sparse_product_never_changes_a_solve(monkeypatch):
             np.matmul(XN[i, S].T, Gmat[S], out=out[i].T)
         return out
 
-    monkeypatch.setattr(solver, "_SKIPS", {})
     calls = counting_sparse_products(monkeypatch, reversed_gather)
     assert_same_solve(solve_block_regularized(batch, part, config), full)
-    assert solver._SKIPS == {(part.shape[0], 5): False}
-    assert len(calls) == 1  # the probe's
+    assert [columns for columns, _ in calls] == [4]  # the probe's
 
 
 @pytest.mark.parametrize("spoil", ["inf", "nan", "asymmetric"])
 def test_a_gram_matrix_the_gather_may_not_take_gets_the_full_product(monkeypatch, spoil):
     # inf * 0 is NaN in the full product only, and the row gather reads Gmat
-    # as symmetric; either way the probed shape's answer must not be used.
-    # The AGENTS d=200 solve's first lockstep call, its linear terms unsolved.
+    # as symmetric; either way the probe must refuse the gather.  The AGENTS
+    # d=200 solve's Gram matrix, as the solve probes it.
     batch, part, config = stacked_problem(monkeypatch, "agents")
-    kernel, args = solver._lockstep_apg, []
+    probe, probed = solver._skips_exactly, []
 
-    def recording(Gmat, L, lam, groups, grid, cols):
-        args.append((Gmat.copy(), L, lam, groups, grid.copy(), cols))
-        return kernel(Gmat, L, lam, groups, grid, cols)
+    def recording(Gmat, width):
+        probed.append((Gmat.copy(), width))
+        return probe(Gmat, width)
 
-    monkeypatch.setattr(solver, "_lockstep_apg", recording)
+    monkeypatch.setattr(solver, "_skips_exactly", recording)
     solve_block_regularized(batch, part, config)
-    Gmat, L, lam, groups, grid, cols = args[0]
-    if not solver._skips_exactly(Gmat, cols.shape[1]):
+    [(Gmat, width)] = probed
+    if not probe(Gmat, width):
         pytest.skip("this BLAS does not sum the AGENTS products in one chain")
-    monkeypatch.setattr(solver, "MAX_ITER", 3)
-    calls = counting_sparse_products(monkeypatch)
-    kernel(Gmat, L, lam, groups, grid.copy(), cols)
-    assert len(calls) == 3
     if spoil == "asymmetric":
         Gmat[0, 1] = np.nextafter(Gmat[0, 1], np.inf)
     else:
         Gmat[0, 1] = Gmat[1, 0] = np.inf if spoil == "inf" else np.nan
-    calls.clear()
+    calls = counting_sparse_products(monkeypatch)
     with np.errstate(all="ignore"):
-        kernel(Gmat, L, lam, groups, grid, cols)
+        assert not probe(Gmat, width)
     assert not calls
 
 
 def test_a_gram_matrix_with_an_exact_zero_is_not_probed_on(monkeypatch):
-    # A diagonal Gmat sums exactly in any order, so its probe would hold at
-    # any shape; the shape's answer waits for a Gmat without zeros.
-    monkeypatch.setattr(solver, "_SKIPS", {})
+    # A diagonal Gmat sums exactly in any order, so a probe on it would hold
+    # at any shape and say nothing of how the BLAS sums.
+    calls = counting_sparse_products(monkeypatch)
     assert not solver._skips_exactly(np.diag(np.arange(1.0, 41.0)), 5)
-    assert solver._SKIPS == {}
+    assert not calls
+
+
+@pytest.mark.parametrize("rows", range(2, 8))
+def test_below_8_rows_the_probe_is_false(rows):
+    # Below 8 rows no probe pattern sums two rows, and a sum of one term is
+    # exact in any order, so the probe would hold on any Gram matrix; at
+    # width 1 the gather took other bits than np.matmul there.
+    rng = np.random.default_rng(rows)
+    B = rng.uniform(1.0, 2.0, (rows, rows))
+    G = B + B.T
+    for width in range(1, 9):
+        assert not solver._skips_exactly(G, width)
+
+
+def test_a_six_row_solve_takes_the_full_products_bits(monkeypatch):
+    # The mass-spring model of two masses has 6 design columns; its solve is
+    # the one with the full product, bit for bit and signbit for signbit.
+    model = build_model({"kind": "mass_spring", "masses": 2}, 0)
+    batch = simulate_batch(model, 5, 12, seed=0)
+    config = EstimatorConfig(lambda_d=0.02)
+    res = solve_block_regularized(batch, model.partition, config)
+    monkeypatch.setattr(solver, "_skips_exactly", lambda Gmat, width: False)
+    assert_same_solve(res, solve_block_regularized(batch, model.partition, config))
 
 
 def test_agents_step_products_skip_most_multiply_adds(monkeypatch):
     # Over the AGENTS d=200 solve, the rows the sparse product multiplies
-    # are under a tenth of the full products' (2.9% when measured).
+    # are under a tenth of the full products' (2.9% when measured).  The
+    # first call is the probe's, on four columns.
     model = build_model(AGENTS, 0)
     batch, part = simulate_batch(model, 3, 200, seed=0), model.partition
     config = EstimatorConfig(lambda_d=resolve_lambda("schedule", part, batch.d), standardize=True)
-    solve_block_regularized(batch, part, config)  # the probe runs here, uncounted
     calls = counting_sparse_products(monkeypatch)
     res = solve_block_regularized(batch, part, config)
+    probe, *steps = calls
+    assert probe[0] == 4
     rows, width = part.shape[0], 5
-    assert sum(columns for columns, _ in calls) == res.iterations.sum()
-    taken = sum(nonzero for _, nonzero in calls) * rows * width
+    assert sum(columns for columns, _ in steps) == res.iterations.sum()
+    taken = sum(nonzero for _, nonzero in steps) * rows * width
     assert taken < 0.1 * res.iterations.sum() * rows * rows * width
 
 
@@ -363,7 +384,7 @@ def test_benchmark_solves_stack_sizes(monkeypatch, generator, d, sizes):
     batch = TrajectoryBatch(X=rng.standard_normal((d, part.shape[0])), Y=rng.standard_normal((d, part.n)))
     seen = []
 
-    def record_stack(Gmat, L, lam, groups, grid, cols):
+    def record_stack(product, L, lam, groups, grid, cols):
         k = cols.shape[0]
         seen.append(k)
         return np.zeros(k, dtype=int), np.zeros(k)
@@ -525,7 +546,7 @@ def test_step_respects_the_largest_gram_eigenvalue(monkeypatch):
     lam_max = np.linalg.norm(X, 2) ** 2 / batch.d
     steps = []
 
-    def record_step(Gmat, L, lam, groups, grid, cols):
+    def record_step(product, L, lam, groups, grid, cols):
         steps.append(L)
         k = cols.shape[0]
         return np.zeros(k, dtype=int), np.zeros(k)

@@ -1,5 +1,6 @@
 """The lockstep APG step kernels against per-column and allocating references."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -321,7 +322,8 @@ def test_every_step_takes_its_restart_dots_from_the_stacked_product(monkeypatch)
 
     monkeypatch.setattr(np, "vecdot", recording)
     monkeypatch.setattr(solver, "MAX_ITER", 200)
-    iterations, _ = solver._lockstep_apg(G, solver._lipschitz(G), 0.05, groups, c, np.arange(12).reshape(4, 3))
+    product = partial(np.matmul, G)
+    iterations, _ = solver._lockstep_apg(product, solver._lipschitz(G), 0.05, groups, c, np.arange(12).reshape(4, 3))
     assert len(calls) == iterations.max() > 0
     assert sorted(calls, reverse=True) == calls and calls[0] == 4
 
@@ -355,13 +357,13 @@ def test_lockstep_writes_each_column_its_one_column_solve_in_place(case):
     # Each solved column of the grid holds its one-column solve bit for bit,
     # with its step count and residual, and no other column of the grid moves.
     G, groups, lam, grid, cols, max_iter = case
-    L = solver._lipschitz(G)
+    L, product = solver._lipschitz(G), partial(np.matmul, G)
     before = grid.copy()
     with mock.patch.object(solver, "MAX_ITER", max_iter):
-        iterations, residuals = solver._lockstep_apg(G, L, lam, groups, grid, cols)
+        iterations, residuals = solver._lockstep_apg(product, L, lam, groups, grid, cols)
         for i, col in enumerate(cols):
             alone = before[:, col]
-            its1, resid1 = solver._lockstep_apg(G, L, lam, groups, alone, np.arange(col.size)[None])
+            its1, resid1 = solver._lockstep_apg(product, L, lam, groups, alone, np.arange(col.size)[None])
             assert grid[:, col].tobytes() == alone.tobytes()
             assert its1[0] == iterations[i] and resid1[0] == residuals[i]
     outside = np.setdiff1d(np.arange(grid.shape[1]), cols)
